@@ -298,8 +298,9 @@ class WorkerNode:
             task_id=f"{decoded.app_id}/map{index}",
             combiner=decoded.combiner if decoded.cross_spill_combine else None,
         )
+        emit = spill.emit
         for key, value in decoded.map_fn(data):
-            spill.emit(key, value)
+            emit(key, value)
         spill.flush()
         first_error: Exception | None = None
         for push in pushes:

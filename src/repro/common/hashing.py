@@ -19,6 +19,8 @@ from typing import Iterator
 
 __all__ = ["HashSpace", "KeyRange", "DEFAULT_SPACE"]
 
+_sha1, _from_bytes = hashlib.sha1, int.from_bytes
+
 
 class HashSpace:
     """A circular integer key space ``[0, size)``.
@@ -41,12 +43,13 @@ class HashSpace:
 
     def key_of_bytes(self, data: bytes) -> int:
         """SHA-1 of ``data`` reduced into the space."""
-        digest = hashlib.sha1(data).digest()
-        return int.from_bytes(digest, "big") % self._size
+        return _from_bytes(_sha1(data).digest(), "big") % self._size
 
     def key_of(self, name: str) -> int:
-        """SHA-1 key of a UTF-8 string (file names, cache tags...)."""
-        return self.key_of_bytes(name.encode("utf-8"))
+        """SHA-1 key of a UTF-8 string (file names, cache tags, and the
+        ``repr`` of every intermediate key a map emits -- hence one
+        expression, with no call into :meth:`key_of_bytes`)."""
+        return _from_bytes(_sha1(name.encode("utf-8")).digest(), "big") % self._size
 
     def block_key(self, file_name: str, index: int) -> int:
         """Deterministic key for block ``index`` of ``file_name``.
@@ -132,11 +135,18 @@ class KeyRange:
     def __contains__(self, key: int) -> bool:
         return self.space.in_range(key, self.start, self.end)
 
-    def __len__(self) -> int:
+    @property
+    def length(self) -> int:
         """Number of keys covered (the full space when ``start == end``)."""
         if self.is_full:
             return self.space.size
         return self.space.distance(self.start, self.end)
+
+    def __len__(self) -> int:
+        """:attr:`length`, for arcs ``len()`` can express: it raises
+        ``OverflowError`` past ``sys.maxsize``, i.e. on most arcs of the
+        default 2**64 space."""
+        return self.length
 
     def wraps(self) -> bool:
         """Whether the arc crosses the zero point of the circle."""

@@ -67,7 +67,7 @@ class ConsistentHashRing:
 
     def owned_fraction(self, node_id: Hashable) -> float:
         """Fraction of the key space the server's arc covers."""
-        return len(self.range_of(node_id)) / self.space.size
+        return self.range_of(node_id).length / self.space.size
 
     def remove_node(self, node_id: Hashable) -> None:
         """Take a server off the ring; its arc merges into its successor's."""

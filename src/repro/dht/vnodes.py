@@ -102,7 +102,7 @@ class VirtualNodeRing:
         if node_id not in self._members:
             raise RingError(f"node {node_id!r} not on the ring")
         total = sum(
-            len(self._ring.range_of(token))
+            self._ring.range_of(token).length
             for token, phys in self._physical_of.items()
             if phys == node_id
         )

@@ -108,8 +108,9 @@ class ParallelEclipseMRRuntime(EclipseMRRuntime):
             task_id=f"{job.app_id}/map{desc.index}",
             combiner=job.combiner if job.cross_spill_combine else None,
         )
+        emit = spill.emit
         for key, value in pairs:
-            spill.emit(key, value)
+            emit(key, value)
         spill.flush()
         stats.spills += spill.spills
         stats.spill_recombines += spill.recombines

@@ -249,17 +249,16 @@ class EclipseMRRuntime:
             task_id=f"{job.app_id}/map{desc.index}",
             combiner=job.combiner if job.cross_spill_combine else None,
         )
-        fail_pending = self.failure_injector.should_fail(job.app_id, desc.index)
-        produced = 0
-        for key, value in job.map_fn(data):
-            spill.emit(key, value)
-            produced += 1
+        emit = spill.emit
+        if self.failure_injector.should_fail(job.app_id, desc.index):
             # Fail mid-stream: some spills may already be pushed; the retry
             # must overwrite them, not duplicate them.
-            if fail_pending and produced >= 1:
-                raise _InjectedTaskFailure()
-        if fail_pending:
+            for key, value in job.map_fn(data):
+                emit(key, value)
+                break
             raise _InjectedTaskFailure()
+        for key, value in job.map_fn(data):
+            emit(key, value)
         spill.flush()
         stats.spills += spill.spills
         stats.spill_recombines += spill.recombines

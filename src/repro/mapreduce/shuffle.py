@@ -17,6 +17,7 @@ disappears into the map phase.
 from __future__ import annotations
 
 import pickle
+import weakref
 from collections import defaultdict
 from typing import Any, Callable, Hashable, Iterable
 
@@ -134,6 +135,21 @@ class IntermediateStore:
         return len(self._pairs.get(job_id, {}))
 
 
+_dumps, _PROTOCOL = pickle.dumps, pickle.HIGHEST_PROTOCOL
+
+_MEMO_TYPES = frozenset((str, bytes, int))
+"""Exact types for which ``a == b`` implies identical ``repr`` and pickle
+(``bool`` is not ``int`` here, and ``1 == 1.0 == True`` never meet)."""
+
+_MEMO_PROBE = 512
+"""Memo misses between two looks at how often it hit meanwhile."""
+
+_MEMO_MIN_HITS = _MEMO_PROBE // 3
+"""Hits per ``_MEMO_PROBE`` misses below which the memo is dropped: one
+pair in four.  A miss costs about a fifth more than not asking and a hit
+about a quarter of it, so the memo pays from roughly one hit in five."""
+
+
 class SpillBuffer:
     """A mapper's per-destination buffers with threshold-triggered pushes.
 
@@ -154,7 +170,29 @@ class SpillBuffer:
     ``bytes_pushed`` shrinks at the source.  Combining is deterministic
     (insertion-ordered grouping), so every plane produces the identical
     spill sequence and byte accounting.
+
+    A pair's destination depends only on ``repr(key)`` and its size only
+    on its pickle, so both are computed once per *distinct* pair of a map
+    task and looked up afterwards (the in-mapper argument of Lee et al.:
+    work that depends only on the key is done once per key).  The memo is
+    type-exact -- only ``str`` / ``bytes`` / ``int`` keys and values,
+    where equality implies identical ``repr`` and pickle -- and drops
+    itself when the task's pairs turn out not to repeat; either way the
+    deliveries and the byte accounting are those of the per-pair
+    computation, bit for bit.  (A task whose pairs never repeat stops
+    asking after ``_MEMO_PROBE`` pairs; a memo that is kept grows by at
+    most three entries per four pairs emitted.)
+
+    The constructor's arguments are fixed for the buffer's life:
+    :attr:`emit` is bound to them once.
     """
+
+    emit: Callable[[Any, Any], None]
+    """``emit(key, value)``: buffer one pair and spill its destination's
+    buffer when that fills.  With a combiner, a full buffer is re-combined
+    first and only spills if it *stays* full -- otherwise the (now
+    smaller) combined buffer keeps accumulating, amortizing the combine
+    across many emits."""
 
     def __init__(
         self,
@@ -175,51 +213,90 @@ class SpillBuffer:
         self.threshold = threshold_bytes
         self.task_id = task_id
         self.combiner = combiner
-        self._buffers: dict[Hashable, list[tuple[Any, Any]]] = defaultdict(list)
-        self._sizes: dict[Hashable, int] = defaultdict(int)
+        # destination -> [buffered pairs, their serialized size]
+        self._slots: dict[Hashable, list] = {}
         self._spill_seq: dict[Hashable, int] = defaultdict(int)
         self._manifest: list[tuple[Hashable, str, int]] = []
+        # (key, value) -> (destination, serialized size); None once the
+        # task's pairs have shown they do not repeat.
+        self._memo: dict[tuple[Any, Any], tuple[Hashable, int]] | None = {}
         self.spills = 0
         self.spills_skipped = 0
         self.recombines = 0
         self.bytes_pushed = 0
+        self.emit = self._bind_emit()
 
     @staticmethod
     def pair_size(key: Any, value: Any) -> int:
         """Serialized size of one pair -- what fills a 32 MB payload buffer."""
-        return len(pickle.dumps((key, value), protocol=pickle.HIGHEST_PROTOCOL))
+        return len(_dumps((key, value), _PROTOCOL))
 
     def key_of(self, key: Any) -> int:
         """Hash key of an intermediate key (its place on the ring)."""
         return self.space.key_of(repr(key))
 
-    def emit(self, key: Any, value: Any) -> None:
-        """Buffer one pair; spill its destination buffer when full.
+    def _bind_emit(self) -> Callable[[Any, Any], None]:
+        """Build :attr:`emit` with the buffer's state in closure cells: it
+        runs once per intermediate pair of every map task, and attribute
+        loads and nested method calls were most of what a pair cost.
 
-        With a combiner, a full buffer is re-combined first and only
-        spills if it *stays* full -- otherwise the (now smaller) combined
-        buffer keeps accumulating, amortizing the combine across many
-        emits.
+        The buffer owns the closure, so the closure reaches the buffer
+        through a weak reference (on the rare paths only: a full buffer,
+        a dropped memo): a strong one would make every buffer a reference
+        cycle, freed -- memo and all -- only by the next full collection.
         """
-        dest = self.route(self.key_of(key))
-        self._buffers[dest].append((key, value))
-        self._sizes[dest] += self.pair_size(key, value)
-        if self._sizes[dest] >= self.threshold:
-            if self.combiner is not None and self._recombine(dest):
-                return
+        slots, threshold = self._slots, self.threshold
+        key_of, route, memo = self.space.key_of, self.route, self._memo
+        this = weakref.ref(self)
+        hits = 0
+
+        def emit(key: Any, value: Any) -> None:
+            nonlocal memo, hits
+            pair = (key, value)
+            # `key is value` pickles shorter (a memo reference) than an
+            # equal pair of two objects does.
+            memoise = (memo is not None and type(key) in _MEMO_TYPES
+                       and type(value) in _MEMO_TYPES and key is not value)
+            known = memo.get(pair) if memoise else None
+            if known is not None:
+                hits += 1
+                dest, size = known
+            else:
+                dest = route(key_of(repr(key)))
+                size = len(_dumps(pair, _PROTOCOL))
+                if memoise:
+                    memo[pair] = (dest, size)
+                    if not len(memo) % _MEMO_PROBE:
+                        if hits < _MEMO_MIN_HITS:
+                            memo = this()._memo = None
+                        hits = 0
+            slot = slots.get(dest)
+            if slot is None:
+                slot = slots[dest] = [[], 0]
+            slot[0].append(pair)
+            slot[1] = size = slot[1] + size
+            if size >= threshold:
+                this()._full(dest)
+
+        return emit
+
+    def _full(self, dest: Hashable) -> None:
+        """A destination's buffer reached the threshold: spill it, unless
+        re-combining brings it back under."""
+        if self.combiner is None or not self._recombine(dest):
             self._spill(dest)
 
     def _recombine(self, dest: Hashable) -> bool:
         """Combine a destination's buffer in place; True if the combined
         buffer dropped back under the threshold (no spill needed yet)."""
-        combined = combine_pairs(self.combiner, self._buffers[dest])
-        self._buffers[dest] = combined
-        self._sizes[dest] = sum(self.pair_size(k, v) for k, v in combined)
+        slot = self._slots[dest]
+        slot[0] = combined = combine_pairs(self.combiner, slot[0])
+        slot[1] = nbytes = sum(self.pair_size(k, v) for k, v in combined)
         self.recombines += 1
-        return self._sizes[dest] < self.threshold
+        return nbytes < self.threshold
+
     def _spill(self, dest: Hashable) -> None:
-        pairs = self._buffers.pop(dest, [])
-        nbytes = self._sizes.pop(dest, 0)
+        pairs, nbytes = self._slots.pop(dest)
         if not pairs:
             return
         seq = self._spill_seq[dest]
@@ -234,12 +311,12 @@ class SpillBuffer:
 
     def flush(self) -> None:
         """Push every remaining buffer (map task finished)."""
-        for dest in list(self._buffers):
+        for dest in list(self._slots):
             self._spill(dest)
 
     @property
     def buffered_bytes(self) -> int:
-        return sum(self._sizes.values())
+        return sum(nbytes for _, nbytes in self._slots.values())
 
     def manifest(self) -> list[tuple[Hashable, str, int]]:
         """Every ``(destination, spill_id, nbytes)`` this buffer delivered.

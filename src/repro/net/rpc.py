@@ -448,6 +448,12 @@ class RpcServer:
 
     def stop(self) -> None:
         self._running.clear()
+        # close() alone does not wake a thread blocked in accept() on
+        # Linux; shutdown() does, so the join below returns at once.
+        try:
+            self._sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         try:
             self._sock.close()
         except OSError:

@@ -84,6 +84,18 @@ class TestSequentialEquivalence:
         ran = [w for w, s in stats.items() if s.get("worker.maps_run", 0) > 0]
         assert len(ran) >= 2  # true process parallelism, not one busy worker
 
+class TestTeardown:
+    def test_shutdown_is_prompt_and_workers_exit_on_their_own(self):
+        """Workers told to shut down leave with exit code 0 -- nobody waits
+        out a join timeout and nobody gets SIGTERMed by the reaper."""
+        rt = ClusterRuntime(2, CFG)
+        processes = list(rt._processes.values())
+        start = time.monotonic()
+        rt.shutdown()
+        assert time.monotonic() - start < 1.0
+        assert [p.exitcode for p in processes] == [0, 0]
+
+
 class TestIntermediateReplay:
     """Cluster-plane oCache replay: a second ``reuse_intermediates`` job
     repopulates the reduce side from cached/persisted spills, skipping

@@ -97,6 +97,50 @@ class TestThreePlaneStreaming:
         assert streamed >= 1  # the cluster plane really streamed
 
 
+class TestShuffleAccountingIsPinned:
+    """``spills`` and ``bytes_shuffled`` of the stock jobs on a fixed input,
+    pinned to the numbers the per-pair emit path produced before
+    destinations and sizes were memoised (PR 12): a low-cardinality word
+    count, where the memo serves nearly every pair, with and without
+    cross-spill combining, and a sort whose ~600 distinct records per
+    task make it switch itself off half way through each map."""
+
+    CFG = ClusterConfig(dfs=DFSConfig(block_size=16384))
+    # job -> (map tasks, spills, bytes_shuffled, spill_recombines, keys)
+    PINNED = {
+        "wc": (6, 305, 306805, 0, 60),
+        "wc-xspill": (6, 18, 13895, 1891, 60),
+        "sort": (6, 146, 144805, 0, 2999),
+    }
+
+    @staticmethod
+    def job(name: str, plane: str) -> MapReduceJob:
+        from repro.apps.sort_app import sort_job
+        from repro.apps.wordcount import wordcount_job
+
+        make = sort_job if name == "sort" else wordcount_job
+        return make("pin.txt", app_id=f"pin-{name}-{plane}", spill_buffer_bytes=1024,
+                    cross_spill_combine=name == "wc-xspill")
+
+    def test_every_plane_reports_the_pinned_numbers(self):
+        from repro.apps.workloads import pack_records, text_corpus
+
+        data = pack_records(
+            text_corpus(12, num_words=12000, vocab_size=60, words_per_line=4), 16384)
+        seq = EclipseMRRuntime(3, config=self.CFG)
+        par = ParallelEclipseMRRuntime(3, config=self.CFG, max_workers=2)
+        with ClusterRuntime(3, self.CFG) as rt:
+            planes = {"seq": seq, "par": par, "cluster": rt}
+            for plane in planes.values():
+                plane.upload("pin.txt", data)
+            for name, pinned in self.PINNED.items():
+                for label, plane in planes.items():
+                    res = plane.run(self.job(name, label))
+                    got = (res.stats.map_tasks, res.stats.spills, res.stats.bytes_shuffled,
+                           res.stats.spill_recombines, len(res.output))
+                    assert got == pinned, (name, label)
+
+
 class TestThreePlaneIntermediateReuse:
     """The same cached-then-replayed wordcount on every execution plane.
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import RingError
-from repro.common.hashing import HashSpace
+from repro.common.hashing import DEFAULT_SPACE, HashSpace
 from repro.dht.ring import ConsistentHashRing
 
 
@@ -65,6 +65,19 @@ class TestRingBasics:
         assert ring.successor("solo") == "solo"
         assert ring.predecessor("solo") == "solo"
         assert ring.range_of("solo").is_full
+
+    def test_owned_fraction_on_the_default_space(self):
+        """Arcs of the 2**64 space are longer than ``len()`` can say."""
+        ring = ConsistentHashRing(DEFAULT_SPACE)
+        ring.add_node("solo")
+        assert ring.owned_fraction("solo") == 1.0  # the full circle
+        ring.add_node("half", DEFAULT_SPACE.add(ring.position_of("solo"), 2**63))
+        assert ring.owned_fraction("solo") == ring.owned_fraction("half") == 0.5
+        for i in range(6):
+            ring.add_node(f"worker-{i}")
+        shares = [ring.owned_fraction(n) for n in ring.nodes]
+        assert all(0.0 < share < 1.0 for share in shares)
+        assert sum(shares) == pytest.approx(1.0)
 
     def test_duplicate_node_rejected(self):
         ring = paper_ring()

@@ -127,6 +127,16 @@ class TestRpcClientServer:
             t.join()
         assert errors == []
 
+    def test_stop_wakes_an_idle_accept_at_once(self):
+        """Closing a listening socket does not wake a thread blocked in
+        ``accept()`` on Linux; ``stop()`` used to sit out its 2 s join."""
+        idle = RpcServer({}).start()
+        time.sleep(0.05)  # let the accept thread block
+        start = time.monotonic()
+        idle.stop()
+        assert time.monotonic() - start < 0.5
+        assert not idle._accept_thread.is_alive()
+
 
 class TestRetryPolicy:
     def test_backoff_sequence_is_deterministic_with_pinned_rng(self):
