@@ -25,15 +25,7 @@ Quickstart::
     assert result.output["be"] == 2
 """
 
-from repro.common.hashing import HashSpace, KeyRange
-from repro.common.config import CacheConfig, ClusterConfig, DFSConfig, SchedulerConfig
-from repro.dht.ring import ConsistentHashRing
-from repro.dfs.filesystem import DHTFileSystem
-from repro.cache.distributed import DistributedCache
-from repro.scheduler.laf import LAFScheduler
-from repro.scheduler.delay import DelayScheduler
-from repro.mapreduce.api import EclipseMR
-from repro.mapreduce.job import JobResult, MapReduceJob
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
@@ -54,3 +46,20 @@ __all__ = [
     "MapReduceJob",
     "__version__",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.common.hashing": ("HashSpace", "KeyRange"),
+    "repro.common.config": (
+        "CacheConfig",
+        "ClusterConfig",
+        "DFSConfig",
+        "SchedulerConfig",
+    ),
+    "repro.dht.ring": ("ConsistentHashRing",),
+    "repro.dfs.filesystem": ("DHTFileSystem",),
+    "repro.cache.distributed": ("DistributedCache",),
+    "repro.scheduler.laf": ("LAFScheduler",),
+    "repro.scheduler.delay": ("DelayScheduler",),
+    "repro.mapreduce.api": ("EclipseMR",),
+    "repro.mapreduce.job": ("JobResult", "MapReduceJob"),
+})

@@ -12,22 +12,7 @@ model.
 * one module per application.
 """
 
-from repro.apps.workloads import (
-    pack_records,
-    text_corpus,
-    documents,
-    graph_edges,
-    points,
-    labeled_points,
-    bimodal_keys,
-)
-from repro.apps.wordcount import wordcount_job
-from repro.apps.grep import grep_job
-from repro.apps.invertedindex import inverted_index_job
-from repro.apps.sort_app import sort_job
-from repro.apps.pagerank import pagerank_driver, pagerank_job
-from repro.apps.kmeans import kmeans_driver, kmeans_job
-from repro.apps.logreg import logreg_driver, logreg_job
+from repro._lazy import lazy_exports
 
 __all__ = [
     "pack_records",
@@ -48,3 +33,22 @@ __all__ = [
     "logreg_job",
     "logreg_driver",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.apps.workloads": (
+        "pack_records",
+        "text_corpus",
+        "documents",
+        "graph_edges",
+        "points",
+        "labeled_points",
+        "bimodal_keys",
+    ),
+    "repro.apps.wordcount": ("wordcount_job",),
+    "repro.apps.grep": ("grep_job",),
+    "repro.apps.invertedindex": ("inverted_index_job",),
+    "repro.apps.sort_app": ("sort_job",),
+    "repro.apps.pagerank": ("pagerank_driver", "pagerank_job"),
+    "repro.apps.kmeans": ("kmeans_driver", "kmeans_job"),
+    "repro.apps.logreg": ("logreg_driver", "logreg_job"),
+})

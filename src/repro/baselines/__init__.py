@@ -18,9 +18,7 @@ package re-exports them alongside the HDFS placement/NameNode helpers so
 baseline-related code has one import home.
 """
 
-from repro.baselines.hdfs import NameNodeModel, hdfs_block_layout
-from repro.baselines.hadoop import hadoop_framework
-from repro.baselines.spark import spark_framework
+from repro._lazy import lazy_exports
 
 __all__ = [
     "NameNodeModel",
@@ -28,3 +26,9 @@ __all__ = [
     "hadoop_framework",
     "spark_framework",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.baselines.hdfs": ("NameNodeModel", "hdfs_block_layout"),
+    "repro.baselines.hadoop": ("hadoop_framework",),
+    "repro.baselines.spark": ("spark_framework",),
+})

@@ -18,15 +18,7 @@ cached object with one hash.
   entry migration option.
 """
 
-from repro.cache.lru import LRUCache, CacheEntry
-from repro.cache.eviction import (
-    CostAwarePolicy,
-    EvictionPolicy,
-    LRUPolicy,
-    make_policy,
-)
-from repro.cache.worker import WorkerCache, CacheStats
-from repro.cache.distributed import DistributedCache
+from repro._lazy import lazy_exports
 
 __all__ = [
     "LRUCache",
@@ -39,3 +31,15 @@ __all__ = [
     "CacheStats",
     "DistributedCache",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.cache.lru": ("LRUCache", "CacheEntry"),
+    "repro.cache.eviction": (
+        "CostAwarePolicy",
+        "EvictionPolicy",
+        "LRUPolicy",
+        "make_policy",
+    ),
+    "repro.cache.worker": ("WorkerCache", "CacheStats"),
+    "repro.cache.distributed": ("DistributedCache",),
+})

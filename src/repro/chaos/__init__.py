@@ -8,6 +8,10 @@ seed replays the same fault schedule -- failover tests assert on exact
 recovery metrics instead of racing wall clocks.
 """
 
-from repro.chaos.plane import FaultInjector, partition_rules
+from repro._lazy import lazy_exports
 
 __all__ = ["FaultInjector", "partition_rules"]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.chaos.plane": ("FaultInjector", "partition_rules"),
+})

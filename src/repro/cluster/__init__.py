@@ -7,12 +7,7 @@ coordinator owns the ring, the LAF scheduler, and heartbeat liveness.
 sequential and thread-pool runtimes.
 """
 
-from repro.cluster.coordinator import Coordinator
-from repro.cluster.fnpickle import dumps_fn, loads_fn
-from repro.cluster.heartbeat import HeartbeatSender, LivenessTracker
-from repro.cluster.messages import RingTable, WorkerAddress, decode_job, encode_job
-from repro.cluster.runtime import ClusterRuntime
-from repro.cluster.worker import WorkerNode, worker_main
+from repro._lazy import lazy_exports
 
 __all__ = [
     "ClusterRuntime",
@@ -28,3 +23,17 @@ __all__ = [
     "dumps_fn",
     "loads_fn",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.cluster.coordinator": ("Coordinator",),
+    "repro.cluster.fnpickle": ("dumps_fn", "loads_fn"),
+    "repro.cluster.heartbeat": ("HeartbeatSender", "LivenessTracker"),
+    "repro.cluster.messages": (
+        "RingTable",
+        "WorkerAddress",
+        "decode_job",
+        "encode_job",
+    ),
+    "repro.cluster.runtime": ("ClusterRuntime",),
+    "repro.cluster.worker": ("WorkerNode", "worker_main"),
+})

@@ -718,16 +718,25 @@ class Coordinator:
 
     # -- teardown -----------------------------------------------------------------------
 
-    def shutdown(self) -> None:
+    def shutdown(self) -> list[str]:
+        """Tell every live worker to stop; returns the ids that answered.
+
+        A worker replies ``"bye"`` *before* it closes its connections, so
+        on the normal path every live worker is in the result.  Only a
+        worker that is already gone (killed, or lost between the liveness
+        sweep and this call) fails the call; it is reaped regardless.
+        """
         policy = RetryPolicy(attempts=1, base_delay=0.01)
 
-        def tell(wid: str) -> None:
+        def tell(wid: str) -> Optional[str]:
             try:
-                self.pool.call(self.address_of(wid).addr, "shutdown",
-                               timeout=2.0, policy=policy)
+                return self.pool.call(self.address_of(wid).addr, "shutdown",
+                                      timeout=2.0, policy=policy)
             except NetworkError:
-                pass  # it is being killed anyway
+                return None  # already dead
 
-        self._fan_out(tell, self.alive_ids())
+        alive = self.alive_ids()
+        replies = self._fan_out(tell, alive)
         self.pool.close_all()
         self.server.stop()
+        return [wid for wid, reply in zip(alive, replies) if reply == "bye"]

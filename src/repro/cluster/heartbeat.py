@@ -172,7 +172,8 @@ class HeartbeatSender:
 
     def stop(self) -> None:
         self._stop.set()
-        self._thread.join(timeout=2.0)
+        if self._thread.is_alive():  # never started when start-up failed
+            self._thread.join(timeout=2.0)
         if self._client is not None:
             self._client.close()
             self._client = None

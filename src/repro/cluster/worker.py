@@ -32,7 +32,9 @@ coordinator disappears).
 
 from __future__ import annotations
 
+import os
 import pickle
+import sys
 import threading
 from collections import defaultdict
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -53,7 +55,7 @@ from repro.cluster.messages import (
     iter_output_pages,
 )
 from repro.mapreduce.shuffle import IntermediateStore, SpillBuffer, combine_pairs
-from repro.net.rpc import Blob, ConnectionPool, RpcClient, RpcServer, Stream
+from repro.net.rpc import AfterReply, Blob, ConnectionPool, RpcClient, RpcServer, Stream
 from repro.sim.metrics import MetricsRegistry
 
 __all__ = ["SpillDeliveryLost", "WorkerNode", "worker_main"]
@@ -633,9 +635,16 @@ def worker_main(
     ``extra_sys_path`` carries the parent's source root explicitly (the
     import-path contract travels in the worker args, not via a mutated
     parent environment).
-    """
-    import sys
 
+    A worker that was told to stop (the ``shutdown`` RPC, or the
+    coordinator went away) does not return: once heartbeats, the RPC
+    server and the node are closed it flushes stdout/stderr and leaves
+    with ``os._exit(0)``, the way :mod:`multiprocessing` ends a forked
+    child.  Nothing of this process outlives it, so tearing the
+    interpreter down module by module only keeps the parent's ``join``
+    waiting.  An exception propagates instead: ``multiprocessing`` prints
+    the traceback and the process exits non-zero.
+    """
     for entry in extra_sys_path:
         if entry not in sys.path:
             sys.path.insert(0, entry)
@@ -644,7 +653,9 @@ def worker_main(
     stop = threading.Event()
 
     server = RpcServer(
-        node.handlers({"shutdown": lambda: (stop.set(), "bye")[1]}),
+        # ``stop`` is set only after "bye" is on the wire: the main
+        # thread closes every connection as soon as it wakes.
+        node.handlers({"shutdown": lambda: AfterReply("bye", stop.set)}),
         net=config.net,
         metrics=node.metrics,
     )
@@ -675,3 +686,9 @@ def worker_main(
         heartbeats.stop()
         server.stop()
         node.close()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except (AttributeError, ValueError):
+            pass  # detached or already closed
+    os._exit(0)

@@ -14,27 +14,7 @@ This package holds the code every other subsystem builds on:
   reproducible.
 """
 
-from repro.common.errors import (
-    ReproError,
-    ConfigError,
-    RingError,
-    FileSystemError,
-    FileNotFound,
-    BlockNotFound,
-    PermissionDenied,
-    CacheMiss,
-    SchedulingError,
-    SimulationError,
-)
-from repro.common.hashing import HashSpace, KeyRange, DEFAULT_SPACE
-from repro.common.units import KB, MB, GB, TB, fmt_bytes, fmt_seconds
-from repro.common.config import (
-    CacheConfig,
-    ClusterConfig,
-    DFSConfig,
-    SchedulerConfig,
-)
-from repro.common.rng import SeedSequenceFactory, derive_rng
+from repro._lazy import lazy_exports
 
 __all__ = [
     "ReproError",
@@ -63,3 +43,27 @@ __all__ = [
     "SeedSequenceFactory",
     "derive_rng",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.common.errors": (
+        "ReproError",
+        "ConfigError",
+        "RingError",
+        "FileSystemError",
+        "FileNotFound",
+        "BlockNotFound",
+        "PermissionDenied",
+        "CacheMiss",
+        "SchedulingError",
+        "SimulationError",
+    ),
+    "repro.common.hashing": ("HashSpace", "KeyRange", "DEFAULT_SPACE"),
+    "repro.common.units": ("KB", "MB", "GB", "TB", "fmt_bytes", "fmt_seconds"),
+    "repro.common.config": (
+        "CacheConfig",
+        "ClusterConfig",
+        "DFSConfig",
+        "SchedulerConfig",
+    ),
+    "repro.common.rng": ("SeedSequenceFactory", "derive_rng"),
+})

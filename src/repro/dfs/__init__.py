@@ -14,11 +14,7 @@ with no NameNode in the path.
   referential integrity).
 """
 
-from repro.dfs.blocks import Block, BlockId, BlockStore
-from repro.dfs.metadata import BlockDescriptor, FileMetadata
-from repro.dfs.filesystem import DHTFileSystem, StorageServer
-from repro.dfs.fault import RecoveryReport, rebalance, recover_from_failure
-from repro.dfs.fsck import FsckReport, FsckViolation, check as fsck
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Block",
@@ -35,3 +31,11 @@ __all__ = [
     "FsckViolation",
     "fsck",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.dfs.blocks": ("Block", "BlockId", "BlockStore"),
+    "repro.dfs.metadata": ("BlockDescriptor", "FileMetadata"),
+    "repro.dfs.filesystem": ("DHTFileSystem", "StorageServer"),
+    "repro.dfs.fault": ("RecoveryReport", "rebalance", "recover_from_failure"),
+    "repro.dfs.fsck": ("FsckReport", "FsckViolation", "check as fsck"),
+})

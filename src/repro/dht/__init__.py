@@ -13,10 +13,7 @@ cache) are built on this package:
   manager.
 """
 
-from repro.dht.ring import ConsistentHashRing, RingNode
-from repro.dht.finger import FingerTable, RoutingTable, Route
-from repro.dht.membership import MembershipService, NodeState, MembershipEvent
-from repro.dht.vnodes import VirtualNodeRing
+from repro._lazy import lazy_exports
 
 __all__ = [
     "ConsistentHashRing",
@@ -29,3 +26,10 @@ __all__ = [
     "MembershipEvent",
     "VirtualNodeRing",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.dht.ring": ("ConsistentHashRing", "RingNode"),
+    "repro.dht.finger": ("FingerTable", "RoutingTable", "Route"),
+    "repro.dht.membership": ("MembershipService", "NodeState", "MembershipEvent"),
+    "repro.dht.vnodes": ("VirtualNodeRing",),
+})

@@ -12,14 +12,7 @@ seconds.  Block counts stay large enough that queueing, skew and cache
 behaviour keep their shape; EXPERIMENTS.md records paper-vs-measured.
 """
 
-from repro.experiments import common
-from repro.experiments.fig3_cdf import run as run_fig3
-from repro.experiments.fig5_io import run as run_fig5
-from repro.experiments.fig6_schedulers import run as run_fig6
-from repro.experiments.fig7_load_balance import run as run_fig7
-from repro.experiments.fig8_concurrent import run as run_fig8
-from repro.experiments.fig9_frameworks import run as run_fig9
-from repro.experiments.fig10_iterative import run as run_fig10
+from repro._lazy import lazy_exports
 
 __all__ = [
     "common",
@@ -31,3 +24,13 @@ __all__ = [
     "run_fig9",
     "run_fig10",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.experiments.fig3_cdf": ("run as run_fig3",),
+    "repro.experiments.fig5_io": ("run as run_fig5",),
+    "repro.experiments.fig6_schedulers": ("run as run_fig6",),
+    "repro.experiments.fig7_load_balance": ("run as run_fig7",),
+    "repro.experiments.fig8_concurrent": ("run as run_fig8",),
+    "repro.experiments.fig9_frameworks": ("run as run_fig9",),
+    "repro.experiments.fig10_iterative": ("run as run_fig10",),
+})

@@ -12,16 +12,7 @@ client shape::
         results = [h.result() for h in handles]
 """
 
-from repro.jobs.handle import JobHandle, JobState
-from repro.jobs.policy import (
-    DelayPolicy,
-    DispatchContext,
-    FairSharePolicy,
-    FifoPolicy,
-    InterJobPolicy,
-    make_policy,
-)
-from repro.jobs.scheduler import ClusterSession, JobScheduler
+from repro._lazy import lazy_exports
 
 __all__ = [
     "ClusterSession",
@@ -35,3 +26,16 @@ __all__ = [
     "JobState",
     "make_policy",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.jobs.handle": ("JobHandle", "JobState"),
+    "repro.jobs.policy": (
+        "DelayPolicy",
+        "DispatchContext",
+        "FairSharePolicy",
+        "FifoPolicy",
+        "InterJobPolicy",
+        "make_policy",
+    ),
+    "repro.jobs.scheduler": ("ClusterSession", "JobScheduler"),
+})

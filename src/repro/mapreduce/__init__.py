@@ -17,12 +17,7 @@ reproduces the timing results.
 * :mod:`repro.mapreduce.api` -- the user-facing :class:`EclipseMR` facade.
 """
 
-from repro.mapreduce.job import JobResult, JobStats, MapReduceJob
-from repro.mapreduce.shuffle import IntermediateStore, SpillBuffer
-from repro.mapreduce.runtime import EclipseMRRuntime, FailureInjector, Worker
-from repro.mapreduce.parallel import ParallelEclipseMRRuntime
-from repro.mapreduce.iterative import IterativeDriver, IterationResult
-from repro.mapreduce.api import EclipseMR
+from repro._lazy import lazy_exports
 
 __all__ = [
     "MapReduceJob",
@@ -38,3 +33,12 @@ __all__ = [
     "IterationResult",
     "EclipseMR",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.mapreduce.job": ("JobResult", "JobStats", "MapReduceJob"),
+    "repro.mapreduce.shuffle": ("IntermediateStore", "SpillBuffer"),
+    "repro.mapreduce.runtime": ("EclipseMRRuntime", "FailureInjector", "Worker"),
+    "repro.mapreduce.parallel": ("ParallelEclipseMRRuntime",),
+    "repro.mapreduce.iterative": ("IterativeDriver", "IterationResult"),
+    "repro.mapreduce.api": ("EclipseMR",),
+})

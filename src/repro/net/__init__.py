@@ -16,16 +16,7 @@ Everything above this package (:mod:`repro.cluster`) talks in terms of
 named methods and plain-dict arguments; everything below is bytes.
 """
 
-from repro.net.codec import (
-    Codec,
-    decode_payload,
-    encode_payload,
-    lz4_available,
-    resolve_codec,
-)
-from repro.net.framing import FrameDecoder, encode_frame, read_frame, write_frame
-from repro.net.retry import RetryPolicy
-from repro.net.rpc import ConnectionPool, RpcClient, RpcServer
+from repro._lazy import lazy_exports
 
 __all__ = [
     "FrameDecoder",
@@ -42,3 +33,16 @@ __all__ = [
     "RpcClient",
     "RpcServer",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.net.codec": (
+        "Codec",
+        "decode_payload",
+        "encode_payload",
+        "lz4_available",
+        "resolve_codec",
+    ),
+    "repro.net.framing": ("FrameDecoder", "encode_frame", "read_frame", "write_frame"),
+    "repro.net.retry": ("RetryPolicy",),
+    "repro.net.rpc": ("ConnectionPool", "RpcClient", "RpcServer"),
+})

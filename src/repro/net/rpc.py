@@ -93,7 +93,8 @@ from repro.net.codec import Codec, decode_payload, encode_payload, resolve_codec
 from repro.net.framing import FrameDecoder, encode_header, sendv
 from repro.net.retry import RetryPolicy
 
-__all__ = ["Blob", "Stream", "StreamResult", "RpcServer", "RpcClient", "ConnectionPool"]
+__all__ = ["AfterReply", "Blob", "Stream", "StreamResult", "RpcServer", "RpcClient",
+           "ConnectionPool"]
 
 Handler = Callable[..., Any]
 
@@ -138,6 +139,23 @@ class Stream:
     def __init__(self, pages, value: Any = None) -> None:
         self.pages = pages
         self.value = value
+
+
+class AfterReply:
+    """Marks a value whose ``then`` must run only once the reply is written.
+
+    A handler that returns ``AfterReply(value, then)`` answers ``value``
+    like any other handler; the server calls ``then()`` from the same
+    connection thread after the reply has been handed to the socket (or
+    the connection turned out to be dead).  This is how a handler asks
+    for the server itself to be stopped without racing its own answer.
+    """
+
+    __slots__ = ("value", "then")
+
+    def __init__(self, value: Any, then: Callable[[], None]) -> None:
+        self.value = value
+        self.then = then
 
 
 class StreamResult:
@@ -349,6 +367,15 @@ class RpcServer:
         if isinstance(blob, Stream):
             self._serve_stream(channel, response, blob)
             return
+        if isinstance(blob, AfterReply):
+            try:
+                self._send_reply(channel, response, None)
+            finally:
+                blob.then()
+            return
+        self._send_reply(channel, response, blob)
+
+    def _send_reply(self, channel: _Channel, response: dict, blob: Any) -> None:
         try:
             sent = channel.send_envelope(response, blob)
         except FramingError:
@@ -444,6 +471,8 @@ class RpcServer:
         if isinstance(value, Stream):
             return ({"id": rid, "ok": True, "stream": "begin",
                      "value": value.value}, value)
+        if isinstance(value, AfterReply):
+            return ({"id": rid, "ok": True, "value": value.value}, value)
         return ({"id": rid, "ok": True, "value": value}, None)
 
     def stop(self) -> None:

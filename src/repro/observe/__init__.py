@@ -5,12 +5,7 @@ or ``eclipsemr-repro cluster --observe PORT``; off by default, in which
 case nothing in this package is even imported by the runtime.
 """
 
-from repro.observe.prometheus import (
-    escape_label_value,
-    render_exposition,
-    sanitize_metric_name,
-)
-from repro.observe.server import ObserveServer
+from repro._lazy import lazy_exports
 
 __all__ = [
     "ObserveServer",
@@ -18,3 +13,12 @@ __all__ = [
     "render_exposition",
     "sanitize_metric_name",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.observe.prometheus": (
+        "escape_label_value",
+        "render_exposition",
+        "sanitize_metric_name",
+    ),
+    "repro.observe.server": ("ObserveServer",),
+})

@@ -15,17 +15,7 @@ OS page cache, and a two-level network -- with per-framework overheads
 * :mod:`repro.perfmodel.engine` -- the job execution engine.
 """
 
-from repro.perfmodel.profiles import AppProfile, APP_PROFILES
-from repro.perfmodel.framework import (
-    FrameworkModel,
-    eclipse_framework,
-    hadoop_framework,
-    spark_framework,
-)
-from repro.perfmodel.placement import BlockSpec, dht_layout, hdfs_layout, skewed_task_keys
-from repro.perfmodel.engine import JobTiming, PerfEngine, SimJobSpec
-from repro.perfmodel.trace import TaskRecord, TaskTrace, gantt
-from repro.perfmodel.validation import PlaneComparison, compare_planes
+from repro._lazy import lazy_exports
 
 __all__ = [
     "AppProfile",
@@ -47,3 +37,22 @@ __all__ = [
     "PlaneComparison",
     "compare_planes",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.perfmodel.profiles": ("AppProfile", "APP_PROFILES"),
+    "repro.perfmodel.framework": (
+        "FrameworkModel",
+        "eclipse_framework",
+        "hadoop_framework",
+        "spark_framework",
+    ),
+    "repro.perfmodel.placement": (
+        "BlockSpec",
+        "dht_layout",
+        "hdfs_layout",
+        "skewed_task_keys",
+    ),
+    "repro.perfmodel.engine": ("JobTiming", "PerfEngine", "SimJobSpec"),
+    "repro.perfmodel.trace": ("TaskRecord", "TaskTrace", "gantt"),
+    "repro.perfmodel.validation": ("PlaneComparison", "compare_planes"),
+})

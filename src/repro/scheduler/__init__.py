@@ -14,12 +14,7 @@
   scheduler for the Hadoop baseline model.
 """
 
-from repro.scheduler.partition import SpacePartition
-from repro.scheduler.histogram import AccessHistogram, MovingAverageDistribution
-from repro.scheduler.base import Assignment, Scheduler
-from repro.scheduler.laf import LAFScheduler
-from repro.scheduler.delay import DelayScheduler
-from repro.scheduler.fair import FairScheduler
+from repro._lazy import lazy_exports
 
 __all__ = [
     "SpacePartition",
@@ -31,3 +26,12 @@ __all__ = [
     "DelayScheduler",
     "FairScheduler",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.scheduler.partition": ("SpacePartition",),
+    "repro.scheduler.histogram": ("AccessHistogram", "MovingAverageDistribution"),
+    "repro.scheduler.base": ("Assignment", "Scheduler"),
+    "repro.scheduler.laf": ("LAFScheduler",),
+    "repro.scheduler.delay": ("DelayScheduler",),
+    "repro.scheduler.fair": ("FairScheduler",),
+})

@@ -19,22 +19,7 @@ models:
 * :mod:`repro.sim.metrics` -- counters and time series for experiments.
 """
 
-from repro.sim.engine import (
-    Simulation,
-    Event,
-    Timeout,
-    Process,
-    Interrupt,
-    AllOf,
-    AnyOf,
-)
-from repro.sim.resources import Resource, PriorityResource, Store, Container
-from repro.sim.disk import Disk
-from repro.sim.network import Network, Flow
-from repro.sim.pagecache import PageCache
-from repro.sim.node import SimNode
-from repro.sim.cluster import SimCluster
-from repro.sim.metrics import Counter, Gauge, TimeSeries, MetricsRegistry
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Simulation",
@@ -59,3 +44,22 @@ __all__ = [
     "TimeSeries",
     "MetricsRegistry",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.sim.engine": (
+        "Simulation",
+        "Event",
+        "Timeout",
+        "Process",
+        "Interrupt",
+        "AllOf",
+        "AnyOf",
+    ),
+    "repro.sim.resources": ("Resource", "PriorityResource", "Store", "Container"),
+    "repro.sim.disk": ("Disk",),
+    "repro.sim.network": ("Network", "Flow"),
+    "repro.sim.pagecache": ("PageCache",),
+    "repro.sim.node": ("SimNode",),
+    "repro.sim.cluster": ("SimCluster",),
+    "repro.sim.metrics": ("Counter", "Gauge", "TimeSeries", "MetricsRegistry"),
+})

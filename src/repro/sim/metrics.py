@@ -16,15 +16,22 @@ the same registry from many threads while the observability endpoint
 * :class:`MetricsRegistry` read paths (``peak``, ``ratio``,
   ``snapshot``, ``export``) never materialize entries, so a scrape
   observes the registry without changing it.
+
+Every cluster worker imports this module, and a scrape or a straggler
+check asks for percentiles in the middle of a job, so the summaries are
+plain Python: NumPy is imported only by :meth:`TimeSeries.as_arrays`
+(experiments), never at module level and never on a percentile.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["Counter", "Gauge", "TimeSeries", "Histogram", "MetricsRegistry",
            "ServiceTimeTracker"]
@@ -105,12 +112,16 @@ class TimeSeries:
         return len(self.times)
 
     def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        import numpy as np
+
         return np.asarray(self.times), np.asarray(self.values)
 
     def time_average(self, until: float | None = None) -> float:
         """Time-weighted mean of a piecewise-constant series."""
         if not self.times:
             raise ValueError("empty time series")
+        import numpy as np
+
         t, v = self.as_arrays()
         end = until if until is not None else t[-1]
         if end <= t[0]:
@@ -118,6 +129,24 @@ class TimeSeries:
         t = np.append(t, end)
         widths = np.diff(t)
         return float(np.sum(widths * v) / (end - self.times[0]))
+
+
+def _percentile(ordered: list[float], q: float) -> float:
+    """``np.percentile(ordered, q)`` (default ``linear`` method), bit for bit.
+
+    The same arithmetic in the same order as NumPy's: a virtual index
+    into the sorted sample, then a lerp between its two neighbours that
+    switches form at ``t >= 0.5`` so both end points are hit exactly.
+    ``ordered`` must be sorted, non-empty and NaN-free, ``q`` within
+    [0, 100].
+    """
+    n = len(ordered)
+    virtual = (n - 1) * (q / 100)
+    lower = min(math.floor(virtual), n - 1)
+    a, b = ordered[lower], ordered[min(lower + 1, n - 1)]
+    t = virtual - lower
+    diff = b - a
+    return b - diff * (1 - t) if t >= 0.5 else a + diff * t
 
 
 class Histogram:
@@ -206,26 +235,28 @@ class Histogram:
         percentiles are exact below the reservoir cap and a deterministic
         approximation past it.
         """
+        return self._percentiles((q,))[0]
+
+    def _percentiles(self, qs: tuple[float, ...]) -> list[float]:
+        """Several percentiles of one snapshot, sorting it at most once."""
         with self._lock:
             if not self._count:
-                return 0.0
-            if q <= 0:
-                return float(self._min)  # type: ignore[arg-type]
-            if q >= 100:
-                return float(self._max)  # type: ignore[arg-type]
+                return [0.0] * len(qs)
+            low, high = float(self._min), float(self._max)  # type: ignore[arg-type]
             retained = list(self._samples)
-        if not retained:  # unreachable in practice (count > 0 retains >= 1)
-            return 0.0
-        return float(np.percentile(np.asarray(retained, dtype=float), q))
+        ordered = sorted(retained) if any(0 < q < 100 for q in qs) else retained
+        return [low if q <= 0 else high if q >= 100 else _percentile(ordered, q)
+                for q in qs]
 
     def summary(self) -> dict[str, float]:
+        p50, p90, p99, top = self._percentiles((50.0, 90.0, 99.0, 100.0))
         return {
             "count": float(self.count),
             "mean": self.mean(),
-            "p50": self.percentile(50.0),
-            "p90": self.percentile(90.0),
-            "p99": self.percentile(99.0),
-            "max": self.percentile(100.0),
+            "p50": p50,
+            "p90": p90,
+            "p99": p99,
+            "max": top,
         }
 
 
@@ -384,7 +415,9 @@ class MetricsRegistry:
 
     @staticmethod
     def stddev(samples: Iterable[float]) -> float:
-        arr = np.asarray(list(samples), dtype=float)
-        if arr.size == 0:
+        """Population standard deviation (``ndarray.std()``); 0 when empty."""
+        values = [float(v) for v in samples]
+        if not values:
             return 0.0
-        return float(arr.std())
+        mean = math.fsum(values) / len(values)
+        return math.sqrt(math.fsum((v - mean) ** 2 for v in values) / len(values))

@@ -12,6 +12,7 @@ core claims:
   survivors via replica failover plus task re-execution.
 """
 
+import multiprocessing
 import time
 
 import numpy as np
@@ -94,6 +95,97 @@ class TestTeardown:
         rt.shutdown()
         assert time.monotonic() - start < 1.0
         assert [p.exitcode for p in processes] == [0, 0]
+
+    @pytest.mark.parametrize("method", ["spawn", "fork"])
+    def test_clean_exit_leaves_no_process_behind(self, method):
+        cfg = ClusterConfig(dfs=CFG.dfs, net=NetConfig(mp_start_method=method))
+        rt = ClusterRuntime(2, cfg)
+        processes = list(rt._processes.values())
+        rt.shutdown()
+        assert [p.exitcode for p in processes] == [0, 0]
+        assert not set(processes) & set(multiprocessing.active_children())
+
+    def test_every_live_worker_answers_the_shutdown_rpc(self):
+        """The worker replies "bye" before it closes its connections, so a
+        normal shutdown never lands in the dead-worker swallow."""
+        for _ in range(20):
+            rt = ClusterRuntime(3, CFG)
+            answered = []
+            tell_all = rt.coordinator.shutdown
+            rt.coordinator.shutdown = lambda: answered.extend(tell_all())
+            rt.shutdown()
+            assert sorted(answered) == ["worker-0", "worker-1", "worker-2"]
+
+    def test_output_of_the_last_job_survives_the_exit(self, capfd, monkeypatch):
+        """A worker leaves through ``os._exit``; what a map function
+        printed into the (block-buffered) stdout is flushed first."""
+        monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)  # workers inherit it
+
+        def loud_map(block):
+            print("printed-by-a-map-task")
+            yield "blocks", 1
+
+        with ClusterRuntime(2, CFG) as rt:
+            rt.upload("loud.txt", corpus())
+            res = rt.run(MapReduceJob("loud", "loud.txt", loud_map,
+                                      lambda k, vs: sum(vs)))
+        blocks = res.output["blocks"]
+        assert blocks >= 2
+        assert capfd.readouterr().out.count("printed-by-a-map-task") == blocks
+
+    def test_worker_that_fails_to_start_exits_nonzero_and_is_reaped(
+            self, monkeypatch, capfd):
+        spawned = []
+        start_workers = ClusterRuntime._start_workers
+
+        def start_with_the_coordinator_gone(rt):
+            rt.coordinator.server.stop()  # ``register`` finds a closed port
+            start_workers(rt)
+            spawned.extend(rt._processes.values())
+            for proc in spawned:
+                proc.join(timeout=30.0)
+
+        monkeypatch.setattr(ClusterRuntime, "_start_workers",
+                            start_with_the_coordinator_gone)
+        cfg = ClusterConfig(net=NetConfig(start_timeout=0.2))
+        with pytest.raises(ClusterError, match="did not register"):
+            ClusterRuntime(2, cfg)
+        assert [p.exitcode for p in spawned] == [1, 1]
+        assert not set(spawned) & set(multiprocessing.active_children())
+        err = capfd.readouterr().err
+        assert err.count("Traceback") >= 2
+        assert "RpcConnectionError: cannot connect" in err
+        # The failure that is reported is the one that happened, not a
+        # second one raised while cleaning up after it.
+        assert "cannot join thread" not in err
+
+    def test_numpy_arrives_with_the_first_job_that_needs_it(self):
+        """A worker starts without NumPy; a k-means map imports it on
+        first use and the job is none the worse for it."""
+
+        def numpy_loaded(block):
+            import sys
+
+            yield "numpy", "numpy" in sys.modules
+
+        def probe(rt, app_id):
+            job = MapReduceJob(app_id, "pts", numpy_loaded, lambda k, vs: any(vs))
+            return rt.run(job).output["numpy"]
+
+        recs, _ = points(77, num_points=400, dim=2, num_clusters=3)
+        data = pack_records(recs, CFG.dfs.block_size)
+        init = np.array([[0.2, 0.2], [0.5, 0.5], [0.8, 0.8]])
+        seq = EclipseMRRuntime(2, config=CFG)
+        seq.upload("pts", data)
+        ref = seq.run(kmeans_job("pts", init, 0, app_id="km-cold"))
+        with ClusterRuntime(2, CFG) as rt:
+            rt.upload("pts", data)
+            assert probe(rt, "probe-cold") is False
+            res = rt.run(kmeans_job("pts", init, 0, app_id="km-cold"))
+            assert probe(rt, "probe-warm") is True
+        assert set(res.output) == set(ref.output)
+        for k in ref.output:
+            assert np.allclose(res.output[k], ref.output[k])
 
 
 class TestIntermediateReplay:

@@ -1,8 +1,11 @@
 """Tests for the metrics primitives and the NameNode model."""
 
+import math
 import threading
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import SimulationError
 from repro.baselines.hdfs import NameNodeModel
@@ -148,6 +151,25 @@ class TestHistogram:
         with pytest.raises(ValueError):
             Histogram(max_samples=1)
 
+    @given(
+        values=st.lists(st.floats(allow_nan=False), min_size=1, max_size=40),
+        q=st.floats(min_value=0.0, max_value=100.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_percentile_is_numpys_bit_for_bit(self, values, q):
+        """Percentiles are computed without NumPy (no worker imports it to
+        answer a scrape) and must not differ from it in any bit -- the
+        infinities included, where both sides interpolate to NaN."""
+        h = Histogram()
+        for v in values:
+            h.record(v)
+        with np.errstate(invalid="ignore", over="ignore"):
+            want = float(np.percentile(np.asarray(values, dtype=float), q))
+        if q <= 0 or q >= 100:  # the exact tracked extremes, never NaN
+            want = min(values) if q <= 0 else max(values)
+        got = h.percentile(q)
+        assert got == want or (math.isnan(got) and math.isnan(want))
+
     def test_concurrent_record_keeps_exact_totals(self):
         h = Histogram(max_samples=128)
         threads_n, per_thread = 8, 2000
@@ -218,6 +240,12 @@ class TestMetricsRegistry:
     def test_stddev_helper(self):
         assert MetricsRegistry.stddev([1, 1, 1]) == 0.0
         assert MetricsRegistry.stddev([]) == 0.0
+
+    @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_stddev_is_the_population_std(self, values):
+        want = float(np.asarray(values, dtype=float).std()) if values else 0.0
+        assert MetricsRegistry.stddev(values) == pytest.approx(want, rel=1e-9, abs=1e-9)
 
     def test_read_paths_do_not_create_entries(self):
         # Regression: peak/ratio/snapshot went through defaultdict

@@ -15,7 +15,7 @@ from repro.common.errors import (
     RpcTimeout,
 )
 from repro.net.retry import RetryPolicy
-from repro.net.rpc import ConnectionPool, RpcClient, RpcServer
+from repro.net.rpc import AfterReply, ConnectionPool, RpcClient, RpcServer
 from repro.sim.metrics import MetricsRegistry
 
 
@@ -136,6 +136,23 @@ class TestRpcClientServer:
         idle.stop()
         assert time.monotonic() - start < 0.5
         assert not idle._accept_thread.is_alive()
+
+    def test_after_reply_runs_once_the_answer_is_out(self):
+        """A handler that stops its own server must not cut off its own
+        answer: ``then`` runs after the reply was written."""
+        for _ in range(20):
+            stopped = threading.Event()
+            srv = RpcServer({}).start()
+
+            def stop_server():
+                srv.stop()
+                stopped.set()
+
+            srv.register("quit", lambda: AfterReply("bye", stop_server))
+            client = RpcClient(srv.host, srv.port)
+            assert client.call("quit", timeout=2.0) == "bye"
+            assert stopped.wait(2.0)
+            client.close()
 
 
 class TestRetryPolicy:
