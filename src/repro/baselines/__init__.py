@@ -1,21 +1,22 @@
 """Baseline system models: HDFS, Hadoop 2.5 and Spark 1.2.
 
-The paper evaluates EclipseMR against Hadoop and Spark; this package holds
-everything specific to those baselines:
+The paper evaluates EclipseMR against Hadoop and Spark; this package is
+the one import home for everything specific to those baselines:
 
 * :mod:`repro.baselines.hdfs` -- the centralized-NameNode file system
   model (metadata serialization, rack-aware replica placement).
-* :mod:`repro.baselines.hadoop` -- the Hadoop 2.5 framework model: YARN
-  container overheads, fair scheduling with locality levels, disk-backed
-  pull shuffle.
-* :mod:`repro.baselines.spark` -- the Spark 1.2 framework model: RDD
-  caching, delay scheduling, in-memory shuffle, memory-resident iteration
-  outputs.
+* ``hadoop_framework`` -- the Hadoop 2.5 framework model: a ~7 s YARN
+  container per task, every metadata lookup through the NameNode, fair
+  scheduling with locality levels, disk-backed pull shuffle, no input
+  caching, and 3-replica pipelined output writes (§III-E).
+* ``spark_framework`` -- the Spark 1.2 framework model: cheap task
+  launch but RDD construction on the first iteration, an executor-memory
+  RDD cache placed by delay scheduling, in-memory shuffle, and iteration
+  outputs kept in memory until the final one is written (§II-F, §III-E,
+  §III-F).
 
-The framework descriptors themselves live in
-:mod:`repro.perfmodel.framework` (they are consumed by the engine); this
-package re-exports them alongside the HDFS placement/NameNode helpers so
-baseline-related code has one import home.
+Both framework descriptors are defined in :mod:`repro.perfmodel.framework`,
+where the engine consumes them.
 """
 
 from repro._lazy import lazy_exports
@@ -29,6 +30,5 @@ __all__ = [
 
 __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.baselines.hdfs": ("NameNodeModel", "hdfs_block_layout"),
-    "repro.baselines.hadoop": ("hadoop_framework",),
-    "repro.baselines.spark": ("spark_framework",),
+    "repro.perfmodel.framework": ("hadoop_framework", "spark_framework"),
 })

@@ -38,8 +38,7 @@ from repro.cluster.messages import CompletionMarker, RingTable, WorkerAddress
 from repro.net.retry import RetryPolicy
 from repro.net.rpc import ConnectionPool, RpcServer
 from repro.scheduler.base import Scheduler
-from repro.scheduler.delay import DelayScheduler
-from repro.scheduler.laf import LAFScheduler
+from repro.scheduler.factory import scheduler_class
 from repro.sim.metrics import MetricsRegistry
 
 __all__ = ["Coordinator"]
@@ -70,16 +69,10 @@ class Coordinator:
             self.ring.add_node(wid)
         if isinstance(scheduler, Scheduler):
             self.scheduler = scheduler
-        elif scheduler == "laf":
-            self.scheduler = LAFScheduler(
-                space, self.worker_ids, self.config.scheduler, ring=self.ring
-            )
-        elif scheduler == "delay":
-            self.scheduler = DelayScheduler(
-                space, self.worker_ids, self.config.scheduler, ring=self.ring
-            )
         else:
-            raise SchedulingError(f"unknown scheduler {scheduler!r}")
+            self.scheduler = scheduler_class(scheduler)(
+                space, self.worker_ids, self.config.scheduler, ring=self.ring
+            )
 
         self.metadata: dict[str, FileMetadata] = {}
         self.holders: dict[tuple[str, int], list[str]] = {}

@@ -112,10 +112,6 @@ class CompletionMarker:
     def spill_count(self) -> int:
         return len(self.entries)
 
-    @property
-    def total_nbytes(self) -> int:
-        return sum(nbytes for _, _, nbytes in self.entries)
-
     def by_dest(self) -> dict[str, list[tuple[str, int]]]:
         """Entries grouped per destination worker, manifest order kept:
         ``{dest: [(spill_id, nbytes), ...]}`` -- one replay RPC per dest."""

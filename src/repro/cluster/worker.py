@@ -36,7 +36,6 @@ import os
 import pickle
 import sys
 import threading
-from collections import defaultdict
 from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Any, Optional
 
@@ -54,7 +53,8 @@ from repro.cluster.messages import (
     encode_spill,
     iter_output_pages,
 )
-from repro.mapreduce.shuffle import IntermediateStore, SpillBuffer, combine_pairs
+from repro.mapreduce.shuffle import IntermediateStore
+from repro.mapreduce.task import reduce_pairs, run_map_task
 from repro.net.rpc import AfterReply, Blob, ConnectionPool, RpcClient, RpcServer, Stream
 from repro.sim.metrics import MetricsRegistry
 
@@ -270,14 +270,9 @@ class WorkerNode:
         pushes: list[Future] = []
 
         def dispatch(dest, sid, pairs, nbytes):
-            # In-node combining: pairs are collapsed *before* they leave
-            # this worker, and a spill the combiner empties out is
-            # skipped outright -- never shipped, cached, or persisted
-            # (identical to the sequential plane's discipline).
-            pairs = combine_pairs(decoded.combiner, pairs)
-            if not pairs:
-                self.metrics.counter("worker.spills_skipped_empty").inc()
-                return False
+            # ``pairs`` are already combined in the node and non-empty: a
+            # spill the combiner empties out is never shipped, cached, or
+            # persisted.
             if dest == self.worker_id:
                 self.receive_spill(decoded.app_id, sid, pairs, nbytes,
                                    cache=decoded.cache_intermediates,
@@ -290,20 +285,11 @@ class WorkerNode:
                     self._push_spill_remote, decoded, peers, dest, sid, pairs,
                     nbytes, attempt
                 ))
-            return True
 
-        spill = SpillBuffer(
-            space=self.space,
-            route=ring.owner_of,
-            deliver=dispatch,
-            threshold_bytes=decoded.spill_buffer_bytes,
-            task_id=f"{decoded.app_id}/map{index}",
-            combiner=decoded.combiner if decoded.cross_spill_combine else None,
-        )
-        emit = spill.emit
-        for key, value in decoded.map_fn(data):
-            emit(key, value)
-        spill.flush()
+        spill = run_map_task(decoded, decoded.map_fn(data), space=self.space,
+                             route=ring.owner_of, deliver=dispatch, index=index)
+        if spill.spills_skipped:
+            self.metrics.counter("worker.spills_skipped_empty").inc(spill.spills_skipped)
         first_error: Exception | None = None
         for push in pushes:
             try:
@@ -566,10 +552,7 @@ class WorkerNode:
         pairs = [pair for _, spill in spills for pair in spill]
         if not pairs:
             return {"worker_id": self.worker_id, "pairs": 0, "output": {}}
-        grouped: dict[Any, list[Any]] = defaultdict(list)
-        for k, v in pairs:
-            grouped[k].append(v)
-        output = {k: decoded.reduce_fn(k, vs) for k, vs in grouped.items()}
+        output = reduce_pairs(decoded.reduce_fn, pairs)
         self.metrics.counter("worker.reduces_run").inc()
         # An output over the page threshold streams out as paged frames
         # (reassembled by the coordinator) instead of one giant envelope;

@@ -597,10 +597,6 @@ class ClusterConfig:
     def total_map_slots(self) -> int:
         return self.num_nodes * self.map_slots_per_node
 
-    @property
-    def total_reduce_slots(self) -> int:
-        return self.num_nodes * self.reduce_slots_per_node
-
     def rack_of(self, node_index: int) -> int:
         """Which rack (top-of-rack switch) a node hangs off."""
         if not 0 <= node_index < self.num_nodes:

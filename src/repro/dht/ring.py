@@ -138,10 +138,6 @@ class ConsistentHashRing:
         idx = bisect.bisect_left(self._sorted_positions, position) - 1
         return self._node_at[self._sorted_positions[idx]]
 
-    def successor_of_key(self, key: int) -> Hashable:
-        """Alias of :meth:`owner_of` under its Chord name."""
-        return self.owner_of(key)
-
     def replica_set(self, key: int, extra: int = 2) -> list[Hashable]:
         """Servers holding ``key``: the owner plus up to ``extra`` neighbors.
 

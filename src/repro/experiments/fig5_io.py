@@ -12,7 +12,6 @@ DFSIO-style benchmark: map tasks that only read their block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from repro.common.units import MB
 from repro.experiments.common import ExperimentResult, paper_cluster
@@ -31,13 +30,6 @@ DFSIO = AppProfile(
     shuffle_ratio=0.0,
     output_ratio=0.0,
 )
-
-
-@dataclass
-class Fig5Result:
-    nodes: list[int]
-    per_task_throughput: dict[str, list[float]]
-    per_job_throughput: dict[str, list[float]]
 
 
 def _run_one(framework, num_nodes: int, blocks_per_node: int) -> tuple[float, float]:

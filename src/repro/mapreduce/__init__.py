@@ -11,7 +11,11 @@ reproduces the timing results.
 * :mod:`repro.mapreduce.job` -- job and task descriptions.
 * :mod:`repro.mapreduce.shuffle` -- proactive shuffle: per-range spill
   buffers pushed to reducer-side servers while maps run.
-* :mod:`repro.mapreduce.runtime` -- the cluster runtime executing jobs.
+* :mod:`repro.mapreduce.task` -- the one map task body and the one
+  reduce task body, shared by every execution plane.
+* :mod:`repro.mapreduce.runtime` -- the in-process job lifecycle
+  (sequential phases); :mod:`repro.mapreduce.parallel` overrides its two
+  phases with thread-pool compute.
 * :mod:`repro.mapreduce.iterative` -- the iterative-job driver with
   oCache-backed iteration outputs.
 * :mod:`repro.mapreduce.api` -- the user-facing :class:`EclipseMR` facade.
@@ -25,6 +29,8 @@ __all__ = [
     "JobStats",
     "SpillBuffer",
     "IntermediateStore",
+    "run_map_task",
+    "reduce_pairs",
     "EclipseMRRuntime",
     "ParallelEclipseMRRuntime",
     "FailureInjector",
@@ -37,6 +43,7 @@ __all__ = [
 __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.mapreduce.job": ("JobResult", "JobStats", "MapReduceJob"),
     "repro.mapreduce.shuffle": ("IntermediateStore", "SpillBuffer"),
+    "repro.mapreduce.task": ("reduce_pairs", "run_map_task"),
     "repro.mapreduce.runtime": ("EclipseMRRuntime", "FailureInjector", "Worker"),
     "repro.mapreduce.parallel": ("ParallelEclipseMRRuntime",),
     "repro.mapreduce.iterative": ("IterativeDriver", "IterationResult"),

@@ -95,6 +95,3 @@ class JobResult:
     app_id: str
     output: dict[Any, Any]
     stats: JobStats
-
-    def sorted_items(self) -> list[tuple[Any, Any]]:
-        return sorted(self.output.items(), key=lambda kv: str(kv[0]))

@@ -31,9 +31,12 @@ from repro.common.hashing import DEFAULT_SPACE, HashSpace
 from repro.dfs.filesystem import DHTFileSystem
 from repro.dfs.metadata import BlockDescriptor
 from repro.mapreduce.job import JobResult, JobStats, MapReduceJob
-from repro.mapreduce.shuffle import IntermediateStore, SpillBuffer, combine_pairs
+# ``combine_pairs`` is re-exported: profilers look the in-node combine up
+# here by name.
+from repro.mapreduce.shuffle import IntermediateStore, SpillBuffer, combine_pairs  # noqa: F401
+from repro.mapreduce.task import reduce_pairs, run_map_task
 from repro.scheduler.base import Scheduler
-from repro.scheduler.delay import DelayScheduler
+from repro.scheduler.factory import scheduler_class
 from repro.scheduler.laf import LAFScheduler
 
 __all__ = ["Worker", "FailureInjector", "EclipseMRRuntime"]
@@ -96,18 +99,10 @@ class EclipseMRRuntime:
         self.failure_injector = failure_injector or FailureInjector()
         if isinstance(scheduler, Scheduler):
             self.scheduler = scheduler
-        elif scheduler == "laf":
-            # Ring-aligned initial ranges (and a ring-seeded moving average):
-            # the paper's starting state, keeping first reads node-local.
-            self.scheduler = LAFScheduler(
-                space, self.worker_ids, self.config.scheduler, ring=self.dfs.ring
-            )
-        elif scheduler == "delay":
-            self.scheduler = DelayScheduler(
-                space, self.worker_ids, self.config.scheduler, ring=self.dfs.ring
-            )
         else:
-            raise SchedulingError(f"unknown scheduler {scheduler!r}")
+            self.scheduler = scheduler_class(scheduler)(
+                space, self.worker_ids, self.config.scheduler, ring=self.dfs.ring
+            )
 
     # -- membership --------------------------------------------------------------
 
@@ -188,79 +183,90 @@ class EclipseMRRuntime:
     # -- job execution -----------------------------------------------------------
 
     def run(self, job: MapReduceJob) -> JobResult:
-        """Execute one MapReduce job and return its outputs and statistics."""
+        """Execute one MapReduce job and return its outputs and statistics.
+
+        The one in-process job lifecycle: a map phase, then a reduce
+        phase, then the job's cache-stat deltas.  The planes differ only
+        in how they run the two phases (:meth:`_map_phase`,
+        :meth:`_reduce_phase`).  The job's in-flight intermediates are
+        dropped however it ends, so a job that failed half way leaves no
+        pairs behind for the next run of its app id.
+        """
         stats = JobStats(tasks_per_server={wid: 0 for wid in self.worker_ids})
         cache_before = self.dcache.stats()
-        meta = self.dfs.stat(job.input_file, user=job.user)
-
-        for desc in meta.blocks:
-            self._run_map_task(job, desc, stats)
-
-        output = self._run_reduce_phase(job, stats)
-
+        try:
+            meta = self.dfs.stat(job.input_file, user=job.user)
+            self._map_phase(job, meta.blocks, stats)
+            output = self._reduce_phase(job, stats)
+        finally:
+            for worker in self.workers.values():
+                worker.intermediates.discard_job(job.app_id)
         cache_after = self.dcache.stats()
         stats.icache_hits = cache_after.icache_hits - cache_before.icache_hits
         stats.icache_misses = cache_after.icache_misses - cache_before.icache_misses
         stats.ocache_hits = cache_after.ocache_hits - cache_before.ocache_hits
         stats.ocache_misses = cache_after.ocache_misses - cache_before.ocache_misses
-        # The job is done; its in-flight intermediate pairs are consumed.
-        for worker in self.workers.values():
-            worker.intermediates.discard_job(job.app_id)
         return JobResult(app_id=job.app_id, output=output, stats=stats)
 
     # -- map phase ------------------------------------------------------------------
 
-    def _run_map_task(self, job: MapReduceJob, desc: BlockDescriptor, stats: JobStats) -> None:
-        assignment = self.scheduler.assign(hash_key=desc.key)
-        self._sync_cache_ranges()
-        server = assignment.server
-        worker = self.workers[server]
-        stats.tasks_per_server[server] += 1
-        self.scheduler.notify_start(server)
-        try:
-            if job.reuse_intermediates and self._replay_intermediates(job, desc, stats):
-                stats.maps_skipped_by_reuse += 1
-                return
-            for attempt in range(self.MAX_TASK_ATTEMPTS):
-                try:
-                    self._execute_map(job, desc, server, stats)
-                    break
-                except _InjectedTaskFailure:
-                    stats.task_retries += 1
-            else:
-                raise SchedulingError(
-                    f"map task {desc.index} of {job.app_id!r} failed "
-                    f"{self.MAX_TASK_ATTEMPTS} times"
-                )
-            worker.map_tasks_run += 1
-            stats.map_tasks += 1
-        finally:
-            self.scheduler.notify_finish(server)
+    def _map_phase(self, job: MapReduceJob, blocks: Sequence[BlockDescriptor],
+                   stats: JobStats) -> None:
+        """One map task at a time, each fed lazily by its map function."""
+        for desc in blocks:
+            server = self._schedule_map(job, desc, stats)
+            if server is None:
+                continue
+            self.scheduler.notify_start(server)
+            try:
+                data = self._read_block_with_cache(job, desc, server, stats)
+                self._run_map_attempts(job, desc, server, job.map_fn(data), stats)
+            finally:
+                self.scheduler.notify_finish(server)
 
-    def _execute_map(self, job: MapReduceJob, desc: BlockDescriptor, server: Hashable, stats: JobStats) -> None:
-        data = self._read_block_with_cache(job, desc, server, stats)
-        spill = SpillBuffer(
-            space=self.space,
-            route=self.dfs.ring.owner_of,
-            deliver=lambda dest, sid, pairs, nbytes: self._deliver_spill(
-                job, dest, sid, pairs, nbytes, stats
-            ),
-            threshold_bytes=job.spill_buffer_bytes,
-            task_id=f"{job.app_id}/map{desc.index}",
-            combiner=job.combiner if job.cross_spill_combine else None,
-        )
-        emit = spill.emit
-        if self.failure_injector.should_fail(job.app_id, desc.index):
-            # Fail mid-stream: some spills may already be pushed; the retry
-            # must overwrite them, not duplicate them.
-            for key, value in job.map_fn(data):
-                emit(key, value)
+    def _schedule_map(self, job: MapReduceJob, desc: BlockDescriptor,
+                      stats: JobStats) -> Hashable | None:
+        """Assign one map task to a server; None when a previous run's
+        intermediates were replayed in its place."""
+        server = self.scheduler.assign(hash_key=desc.key).server
+        self._sync_cache_ranges()
+        stats.tasks_per_server[server] += 1
+        if job.reuse_intermediates and self._replay_intermediates(job, desc, stats):
+            stats.maps_skipped_by_reuse += 1
+            return None
+        return server
+
+    def _run_map_attempts(self, job: MapReduceJob, desc: BlockDescriptor,
+                          server: Hashable, pairs, stats: JobStats) -> None:
+        """Run one map task over ``pairs``, retrying on a re-read block
+        while the failure injector fails its attempts, and account the
+        winning attempt's flushed spill buffer."""
+        for attempt in range(1, self.MAX_TASK_ATTEMPTS + 1):
+            if self.failure_injector.should_fail(job.app_id, desc.index):
+                # Fail mid-stream: some spills may already be pushed; the
+                # retry must overwrite them, not duplicate them.
+                pairs = _fail_after_first(pairs)
+            try:
+                spill = run_map_task(
+                    job, pairs, space=self.space, route=self.dfs.ring.owner_of,
+                    deliver=lambda dest, sid, spilled, nbytes: self._deliver_spill(
+                        job, dest, sid, spilled, nbytes),
+                    index=desc.index,
+                )
                 break
-            raise _InjectedTaskFailure()
-        for key, value in job.map_fn(data):
-            emit(key, value)
-        spill.flush()
+            except _InjectedTaskFailure:
+                stats.task_retries += 1
+            if attempt < self.MAX_TASK_ATTEMPTS:
+                pairs = job.map_fn(self._read_block_with_cache(job, desc, server, stats))
+        else:
+            raise SchedulingError(
+                f"map task {desc.index} of {job.app_id!r} failed "
+                f"{self.MAX_TASK_ATTEMPTS} times"
+            )
+        self.workers[server].map_tasks_run += 1
+        stats.map_tasks += 1
         stats.spills += spill.spills
+        stats.bytes_shuffled += spill.bytes_pushed
         stats.spill_recombines += spill.recombines
         if job.cache_intermediates:
             self._write_completion_marker(job, desc, spill)
@@ -299,16 +305,11 @@ class EclipseMRRuntime:
         spill_id: str,
         pairs: list[tuple[Any, Any]],
         nbytes: int,
-        stats: JobStats,
-    ) -> bool:
-        pairs = combine_pairs(job.combiner, pairs)
-        if not pairs:
-            # The combiner dropped every pair: deliver nothing, cache
-            # nothing, persist nothing (a keyless DFS object at key 0
-            # would otherwise shadow a real spill's slot).
-            return False
+    ) -> None:
+        """Land one (combined, non-empty) spill on its reduce-side worker,
+        and tag it in oCache and the DHT file system when the job caches
+        intermediates."""
         self.workers[dest].intermediates.receive(job.app_id, spill_id, pairs, nbytes)
-        stats.bytes_shuffled += nbytes
         if job.cache_intermediates:
             payload = pickle.dumps(pairs, protocol=pickle.HIGHEST_PROTOCOL)
             hash_key = self.space.key_of(repr(pairs[0][0]))
@@ -319,7 +320,6 @@ class EclipseMRRuntime:
             obj_name = self._spill_object_name(job, spill_id)
             if not self.dfs.exists(obj_name):
                 self.dfs.put_object(obj_name, payload, hash_key, owner=job.user)
-        return True
 
     @staticmethod
     def _spill_object_name(job: MapReduceJob, spill_id: str) -> str:
@@ -382,31 +382,32 @@ class EclipseMRRuntime:
 
     # -- reduce phase ------------------------------------------------------------------
 
-    def _run_reduce_phase(self, job: MapReduceJob, stats: JobStats) -> dict[Any, Any]:
+    def _reduce_phase(self, job: MapReduceJob, stats: JobStats) -> dict[Any, Any]:
         """One reduce task per worker holding intermediates, run in place."""
         output: dict[Any, Any] = {}
         for wid in self.worker_ids:
-            worker = self.workers[wid]
-            pairs = worker.intermediates.pairs_for(job.app_id)
+            pairs = self.workers[wid].intermediates.pairs_for(job.app_id)
             if not pairs:
                 continue
             self.scheduler.notify_start(wid)
             try:
-                grouped: dict[Any, list[Any]] = defaultdict(list)
-                for k, v in pairs:
-                    grouped[k].append(v)
-                for k, values in grouped.items():
-                    if k in output:
-                        raise SchedulingError(
-                            f"intermediate key {k!r} reduced on two servers"
-                        )
-                    output[k] = job.reduce_fn(k, values)
-                worker.reduce_tasks_run += 1
-                stats.reduce_tasks += 1
-                stats.tasks_per_server[wid] += 1
+                self._merge_reduce(output, wid, reduce_pairs(job.reduce_fn, pairs), stats)
             finally:
                 self.scheduler.notify_finish(wid)
         return output
+
+    def _merge_reduce(self, output: dict[Any, Any], wid: Hashable,
+                      part: dict[Any, Any], stats: JobStats) -> None:
+        """Add one worker's reduce output to the job's and count its task."""
+        twice = output.keys() & part.keys()
+        if twice:
+            raise SchedulingError(
+                f"intermediate key {next(iter(twice))!r} reduced on two servers"
+            )
+        output.update(part)
+        self.workers[wid].reduce_tasks_run += 1
+        stats.reduce_tasks += 1
+        stats.tasks_per_server[wid] += 1
 
     # -- plumbing -----------------------------------------------------------------------
 
@@ -422,3 +423,11 @@ class EclipseMRRuntime:
 
 class _InjectedTaskFailure(Exception):
     """Raised inside a map task by the failure injector."""
+
+
+def _fail_after_first(pairs):
+    """A failing attempt's map output: its first pair, then the failure."""
+    for pair in pairs:
+        yield pair
+        break
+    raise _InjectedTaskFailure()

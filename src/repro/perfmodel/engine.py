@@ -632,10 +632,6 @@ class PerfEngine:
         sens = app.jvm_sensitivity
         return sens / self.framework.compute_efficiency + (1.0 - sens)
 
-    def _replicate_extent(self, src: int, dst: int, key, nbytes: int) -> Generator[Event, None, None]:
-        yield self.cluster.network.transfer(src, dst, nbytes)
-        yield from self.cluster.nodes[dst].write_extent(key, nbytes)
-
     def _namenode_op(self) -> Generator[Event, None, None]:
         assert self._namenode is not None
         yield from self._namenode.lookup()

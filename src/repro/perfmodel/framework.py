@@ -27,8 +27,8 @@ from repro.common.hashing import HashSpace
 from repro.dht.ring import ConsistentHashRing
 from repro.scheduler.base import Scheduler
 from repro.scheduler.delay import DelayScheduler
+from repro.scheduler.factory import scheduler_class
 from repro.scheduler.fair import FairScheduler
-from repro.scheduler.laf import LAFScheduler
 
 __all__ = [
     "FrameworkModel",
@@ -114,17 +114,13 @@ def eclipse_framework(
     scheduler: str = "laf",
     scheduler_config: SchedulerConfig | None = None,
 ) -> FrameworkModel:
-    """EclipseMR with the LAF or delay scheduler."""
+    """EclipseMR with the LAF or delay scheduler (any other name raises
+    :class:`~repro.common.errors.SchedulingError`)."""
     cfg = scheduler_config or SchedulerConfig()
-    if scheduler == "laf":
-        factory: SchedulerFactory = lambda space, servers, ring: LAFScheduler(space, list(servers), cfg, ring=ring)
-    elif scheduler == "delay":
-        factory = lambda space, servers, ring: DelayScheduler(space, list(servers), cfg, ring=ring)
-    else:
-        raise ValueError(f"unknown EclipseMR scheduler {scheduler!r}")
+    cls = scheduler_class(scheduler)
     return FrameworkModel(
         name=f"eclipsemr-{scheduler}",
-        scheduler_factory=factory,
+        scheduler_factory=lambda space, servers, ring: cls(space, list(servers), cfg, ring=ring),
         task_overhead=0.1,
         job_overhead=0.2,
         metadata_central=False,

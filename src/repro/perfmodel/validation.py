@@ -111,10 +111,7 @@ def compare_planes(
     # Same scheduler configuration and the same *file name*: block hash
     # keys depend on (name, index) only, so both planes schedule the
     # identical key sequence.
-    engine = PerfEngine(
-        sim_config, eclipse_framework(scheduler, sim_config.scheduler)
-        if scheduler in ("laf", "delay") else eclipse_framework(scheduler)
-    )
+    engine = PerfEngine(sim_config, eclipse_framework(scheduler, sim_config.scheduler))
     # Mirror the functional plane exactly: same file name, same block count.
     layout = dht_layout(engine.space, engine.ring, "corpus", actual_blocks, 128 * MB)
     for r in range(repeats):

@@ -12,6 +12,8 @@
   scheduling used as the paper's baseline.
 * :mod:`repro.scheduler.fair` -- a Hadoop-style locality-preference fair
   scheduler for the Hadoop baseline model.
+* :mod:`repro.scheduler.factory` -- ``"laf"`` / ``"delay"`` to a scheduler
+  class, for every plane that takes a scheduler by name.
 """
 
 from repro._lazy import lazy_exports
@@ -25,6 +27,7 @@ __all__ = [
     "LAFScheduler",
     "DelayScheduler",
     "FairScheduler",
+    "scheduler_class",
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__, {
@@ -34,4 +37,5 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.scheduler.laf": ("LAFScheduler",),
     "repro.scheduler.delay": ("DelayScheduler",),
     "repro.scheduler.fair": ("FairScheduler",),
+    "repro.scheduler.factory": ("scheduler_class",),
 })

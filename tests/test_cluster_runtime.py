@@ -525,6 +525,15 @@ class TestFetchFromAny:
         wid_of = {addr: wid for wid, addr in addr_of.items()}
         return coord, pool, wid_of, real_pool
 
+    @staticmethod
+    def _shutdown(coord, real_pool):
+        # Forget the unroutable addresses first: shutdown() tells every
+        # known worker to stop, and dialling 203.0.113.9 would wait out
+        # the full connect timeout.
+        coord.pool = real_pool
+        coord.addresses.clear()
+        coord.shutdown()
+
     def test_holders_first_ordered_by_load_then_other_survivors(self):
         coord, pool, wid_of, real = self._coordinator({
             "w1": [RpcConnectionError("down")],
@@ -539,8 +548,7 @@ class TestFetchFromAny:
             # w3 is only the long shot at the end.
             assert [wid_of[a] for a in pool.calls] == ["w2", "w1", "w3"]
         finally:
-            coord.pool = real
-            coord.shutdown()
+            self._shutdown(coord, real)
 
     def test_transport_failures_retry_the_whole_sweep(self):
         coord, pool, wid_of, real = self._coordinator({
@@ -554,8 +562,7 @@ class TestFetchFromAny:
             assert [wid_of[a] for a in pool.calls] == \
                 ["w1", "w2", "w3"] * 2  # two full sweeps
         finally:
-            coord.pool = real
-            coord.shutdown()
+            self._shutdown(coord, real)
 
     def test_block_not_found_everywhere_fails_without_retry(self):
         coord, pool, wid_of, real = self._coordinator({
@@ -568,8 +575,7 @@ class TestFetchFromAny:
                 coord._fetch_from_any(("f", 0), ["w1", "w2"])
             assert len(pool.calls) == 3  # retrying a missing block is useless
         finally:
-            coord.pool = real
-            coord.shutdown()
+            self._shutdown(coord, real)
 
     def test_unexpected_remote_error_is_fatal_immediately(self):
         coord, pool, wid_of, real = self._coordinator({
@@ -582,8 +588,7 @@ class TestFetchFromAny:
                 coord._fetch_from_any(("f", 0), ["w1", "w2"])
             assert [wid_of[a] for a in pool.calls] == ["w1"]
         finally:
-            coord.pool = real
-            coord.shutdown()
+            self._shutdown(coord, real)
 
 
 class TestCaching:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.common.errors import SchedulingError
 from repro.common.hashing import HashSpace
 from repro.common.units import GB, KB, MB
 from repro.dht.ring import ConsistentHashRing
@@ -78,7 +79,7 @@ class TestFrameworkModels:
         assert sched.ring is ring
 
     def test_eclipse_unknown_scheduler_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(SchedulingError, match="unknown scheduler 'fifo'"):
             eclipse_framework("fifo")
 
     def test_hadoop_model(self):
