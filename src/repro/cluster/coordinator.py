@@ -17,7 +17,6 @@ shared with the runtime, so ``eclipsemr-repro cluster`` can print it.
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Hashable, Optional, Sequence
 
 from repro.chaos.plane import FaultInjector
@@ -36,7 +35,7 @@ from repro.cluster.health import HealthMonitor
 from repro.cluster.heartbeat import LivenessTracker
 from repro.cluster.messages import CompletionMarker, RingTable, WorkerAddress
 from repro.net.retry import RetryPolicy
-from repro.net.rpc import ConnectionPool, RpcServer
+from repro.net.rpc import AfterReply, ConnectionPool, RpcServer, fan_out
 from repro.scheduler.base import Scheduler
 from repro.scheduler.factory import scheduler_class
 from repro.sim.metrics import MetricsRegistry
@@ -116,7 +115,7 @@ class Coordinator:
 
     # -- registration & heartbeats -------------------------------------------------
 
-    def _handle_register(self, worker_id: str, host: str, port: int) -> bool:
+    def _handle_register(self, worker_id: str, host: str, port: int) -> AfterReply:
         with self._lock:
             if worker_id not in self.worker_ids:
                 raise ClusterError(f"unexpected worker {worker_id!r} tried to register")
@@ -133,11 +132,17 @@ class Coordinator:
         # only written by membership *events*, so a cluster that never
         # joined/drained/failed scraped as "0 live workers" forever.
         self._update_live_gauge()
-        if complete:
-            self._registered.set()
-        if joined is not None:
-            joined.set()
-        return True
+
+        def announce() -> None:
+            # Only once the reply is on the wire: whoever waits on these
+            # events may shut the server down, and a connection closed
+            # under the reply fails the worker's ``register`` call.
+            if complete:
+                self._registered.set()
+            if joined is not None:
+                joined.set()
+
+        return AfterReply(True, announce)
 
     def _handle_heartbeat(
         self, worker_id: str, seq: int, rtt_s: float | None = None
@@ -194,7 +199,7 @@ class Coordinator:
             except NetworkError as exc:
                 raise WorkerLost(wid, f"ring broadcast failed: {exc}") from exc
 
-        self._fan_out(push, self.alive_ids())
+        fan_out(push, self.alive_ids())
 
     def check_heartbeats(self) -> list[str]:
         """Workers the heartbeat stream has declared dead (not yet removed)."""
@@ -586,33 +591,6 @@ class Coordinator:
     def _update_live_gauge(self) -> None:
         self.metrics.gauge("cluster.live_workers").set(len(self.addresses))
 
-    @staticmethod
-    def _fan_out(fn, items: Sequence, max_workers: int = 16) -> list:
-        """Run ``fn`` over ``items`` concurrently; results keep item order.
-
-        Every call is drained before the first raised error propagates,
-        so no thread is abandoned mid-RPC.
-        """
-        items = list(items)
-        if not items:
-            return []
-        if len(items) == 1:
-            return [fn(items[0])]
-        results: list = []
-        first_error: Exception | None = None
-        with ThreadPoolExecutor(max_workers=min(max_workers, len(items)),
-                                thread_name_prefix="coord-fanout") as pool:
-            for future in [pool.submit(fn, item) for item in items]:
-                try:
-                    results.append(future.result())
-                except Exception as exc:
-                    if first_error is None:
-                        first_error = exc
-                    results.append(None)
-        if first_error is not None:
-            raise first_error
-        return results
-
     # -- data placement ----------------------------------------------------------------
 
     def upload(
@@ -667,7 +645,7 @@ class Coordinator:
             except NetworkError as exc:
                 raise WorkerLost(wid, f"block upload failed: {exc}") from exc
 
-        self._fan_out(put, puts)
+        fan_out(put, puts)
         meta = FileMetadata(
             name=name, owner=owner, size=total, permissions=permissions,
             created_at=0.0, blocks=descriptors, tags=dict(tags or {}),
@@ -729,7 +707,7 @@ class Coordinator:
                 return None  # already dead
 
         alive = self.alive_ids()
-        replies = self._fan_out(tell, alive)
+        replies = fan_out(tell, alive)
         self.pool.close_all()
         self.server.stop()
         return [wid for wid, reply in zip(alive, replies) if reply == "bye"]

@@ -42,7 +42,6 @@ import multiprocessing
 import os
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Optional, Sequence
 
 import repro as _repro_pkg
@@ -59,6 +58,7 @@ from repro.common.serialization import config_to_dict
 from repro.cluster.coordinator import Coordinator
 from repro.cluster.worker import worker_main
 from repro.mapreduce.job import JobResult, MapReduceJob
+from repro.net.rpc import fan_out
 from repro.sim.metrics import MetricsRegistry
 
 __all__ = ["ClusterRuntime"]
@@ -391,24 +391,8 @@ class ClusterRuntime:
 
     def _broadcast(self, method: str, args: dict) -> None:
         """Issue one control call to every live worker concurrently."""
-        alive = self.coordinator.alive_ids()
-        if not alive:
-            return
-        if len(alive) == 1:
-            self._call_worker(alive[0], method, args)
-            return
-        first: Exception | None = None
-        with ThreadPoolExecutor(max_workers=len(alive),
-                                thread_name_prefix="broadcast") as pool:
-            for fut in [pool.submit(self._call_worker, wid, method, args)
-                        for wid in alive]:
-                try:
-                    fut.result()
-                except Exception as exc:  # drain every call before failing
-                    if first is None:
-                        first = exc
-        if first is not None:
-            raise first
+        fan_out(lambda wid: self._call_worker(wid, method, args),
+                self.coordinator.alive_ids())
 
     def _failover(self, worker_id: str) -> None:
         wid = worker_id
@@ -432,13 +416,9 @@ class ClusterRuntime:
         """Live per-worker statistics (tasks run, bytes moved, cache hits),
         gathered from all workers concurrently."""
         alive = self.coordinator.alive_ids()
-        if not alive:
-            return {}
-        with ThreadPoolExecutor(max_workers=len(alive),
-                                thread_name_prefix="stats") as pool:
-            futures = [(wid, pool.submit(self._call_worker, wid, "get_stats", {}))
-                       for wid in alive]
-            return {wid: fut.result() for wid, fut in futures}
+        return dict(zip(alive, fan_out(
+            lambda wid: self._call_worker(wid, "get_stats", {}), alive
+        )))
 
     def _observe_poll(self) -> dict[str, dict]:
         """One sampling round for the observe endpoint: full per-worker
@@ -455,8 +435,6 @@ class ClusterRuntime:
         ages = self.coordinator.heartbeat_ages()
         rtts = self.coordinator.heartbeat_rtts()
         health = self.coordinator.health.snapshot()
-        if not alive:
-            return {}
 
         def poll_one(wid: str) -> Optional[dict]:
             try:
@@ -475,11 +453,8 @@ class ClusterRuntime:
                 stats["health_quarantined"] = int(health[wid]["quarantined"])
             return stats
 
-        with ThreadPoolExecutor(max_workers=len(alive),
-                                thread_name_prefix="observe") as pool:
-            futures = [(wid, pool.submit(poll_one, wid)) for wid in alive]
-            polled = {wid: fut.result() for wid, fut in futures}
-        return {wid: stats for wid, stats in polled.items() if stats is not None}
+        polled = zip(alive, fan_out(poll_one, alive))
+        return {wid: stats for wid, stats in polled if stats is not None}
 
     def shutdown(self) -> None:
         if self._closed:

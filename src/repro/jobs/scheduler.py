@@ -55,6 +55,7 @@ import itertools
 import queue
 import threading
 import time
+import weakref
 from collections import deque
 from concurrent.futures import Future
 from typing import Any, Callable, Optional, Sequence
@@ -320,7 +321,10 @@ class JobScheduler:
             uid = f"{job.app_id}@{next(self._submit_seq)}"
             handle = JobHandle(job.app_id, uid, cancel_cb=self._request_cancel)
             jr = _JobRun(job, uid, len(self._queued), weight, handle)
-            handle._jr = jr
+            # Weak, so the client's handle never keeps the run alive:
+            # a handle <-> run cycle would outlive the job until a
+            # generation-2 collection.
+            handle._jr = weakref.ref(jr)
             self._queued.append(jr)
             self.metrics.counter("sched.jobs_submitted").inc()
             self.metrics.gauge("sched.queue_depth").set(len(self._queued))
@@ -363,7 +367,8 @@ class JobScheduler:
         return fut
 
     def _request_cancel(self, handle: JobHandle) -> bool:
-        jr = getattr(handle, "_jr", None)
+        ref = getattr(handle, "_jr", None)
+        jr = ref() if ref is not None else None
         if jr is None or handle.done():
             return False
         self._events.put(("cancel", jr))
@@ -569,7 +574,6 @@ class JobScheduler:
     def _record_admission(self, jr: _JobRun) -> None:
         wait = (jr.handle.started_at or time.monotonic()) - jr.handle.submitted_at
         self.metrics.histogram("sched.queue_wait_s").record(wait)
-        self.metrics.gauge(f"sched.job.{jr.job_uid}.queue_wait_s").set(wait)
 
     def _start_attempt(self, jr: _JobRun) -> None:
         """Heartbeat sweep + clear-the-slate broadcast (legacy semantics).
@@ -652,7 +656,6 @@ class JobScheduler:
         self._inflight_total += 1
         self._wid_inflight[task.wid] = self._wid_inflight.get(task.wid, 0) + 1
         self.metrics.counter("sched.tasks_dispatched").inc()
-        self.metrics.counter(f"sched.job.{jr.job_uid}.tasks_dispatched").inc()
         if task.kind == "reduce":
             self._issue(task, task.wid, "run_reduce", {"job": jr.wire})
             return
@@ -801,7 +804,6 @@ class JobScheduler:
         self._inflight_total += 1
         self._wid_inflight[wid] = self._wid_inflight.get(wid, 0) + 1
         self.metrics.counter("sched.tasks_speculated").inc()
-        self.metrics.counter(f"sched.job.{jr.job_uid}.tasks_speculated").inc()
         holders = [
             (a.worker_id, a.host, a.port)
             for a in self.coordinator.block_holders(
@@ -1197,7 +1199,7 @@ class JobScheduler:
             app_id=jr.job.app_id, output=output, stats=stats
         ))
         self.metrics.counter("sched.jobs_completed").inc()
-        self.metrics.gauge(f"sched.job.{jr.job_uid}.makespan_s").set(
+        self.metrics.histogram("sched.job_makespan_s").record(
             jr.handle.finished_at - jr.handle.submitted_at
         )
         self.metrics.gauge("sched.active_jobs").set(
@@ -1395,8 +1397,21 @@ class JobScheduler:
             self.metrics.counter("cluster.cleanup_failures").inc()
 
     def _reap_finished(self) -> None:
-        self._active = [jr for jr in self._active
-                        if not (jr.handle.done() and jr.outstanding == 0)]
+        """Forget every resolved job whose last attempt has drained.
+
+        Nothing of a reaped job stays reachable from the scheduler: the
+        timer entries of its settled attempts go too, which would
+        otherwise hold the job -- and through its handle the whole
+        output -- until their ``call_timeout`` deadline falls due.  A
+        pending ``"retry"`` entry carries a fresh, unsettled attempt of
+        a live job and stays."""
+        live = [jr for jr in self._active
+                if not (jr.handle.done() and jr.outstanding == 0)]
+        if len(live) == len(self._active):
+            return
+        self._active = live
+        self._timers = [t for t in self._timers if not t[3].settled]
+        heapq.heapify(self._timers)
 
     def _abort_everything(self, exc: Exception) -> None:
         with self._lock:

@@ -49,8 +49,8 @@ pipelined requests execute concurrently and responses are written (under
 a send lock) as they finish.  :class:`ConnectionPool` keeps **one
 multiplexed connection per address** shared by all callers, layers
 :class:`~repro.net.retry.RetryPolicy` over transport failures, and
-offers ``call_many`` (pipelined batch to one peer) and ``broadcast``
-(concurrent fan-out to many peers).  Remote application errors are *not*
+offers ``call_many`` (pipelined batch to one peer); :func:`fan_out` runs
+a call over many peers concurrently.  Remote application errors are *not*
 retried.  All sides count traffic into an optional
 :class:`~repro.sim.metrics.MetricsRegistry`; the pool also records a
 per-call latency histogram (``rpc.latency_s``).
@@ -72,6 +72,7 @@ like).  With no hook installed, none of these paths execute.
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
 import socket
 import struct
@@ -94,7 +95,7 @@ from repro.net.framing import FrameDecoder, encode_header, sendv
 from repro.net.retry import RetryPolicy
 
 __all__ = ["AfterReply", "Blob", "Stream", "StreamResult", "RpcServer", "RpcClient",
-           "ConnectionPool"]
+           "ConnectionPool", "fan_out"]
 
 Handler = Callable[..., Any]
 
@@ -906,7 +907,13 @@ class ConnectionPool:
 
     # -- connection management -----------------------------------------------------
 
-    def _connection(self, addr: tuple[str, int]) -> RpcClient:
+    def _connection(self, addr: tuple[str, int],
+                    timeout: float | None = None) -> RpcClient:
+        """The shared connection to ``addr``, dialled if there is none.
+
+        A dial waits at most ``timeout`` when that is shorter than
+        ``net.connect_timeout``: a call never waits longer for its
+        connection than it would for its answer."""
         with self._lock:
             if self._closed:
                 raise RpcConnectionError("connection pool is closed")
@@ -917,7 +924,10 @@ class ConnectionPool:
                 return client
             if client is not None:
                 del self._conns[addr]
-        dialed = RpcClient(addr[0], addr[1], self.net, self._metrics)
+        net = self.net
+        if timeout is not None and 0 < timeout < net.connect_timeout:
+            net = dataclasses.replace(net, connect_timeout=timeout)
+        dialed = RpcClient(addr[0], addr[1], net, self._metrics)
         dialed.stream_page_hook = self.stream_page_hook
         dialed.fault_hook = self.fault_hook
         self._count("net.connections_opened", 1)
@@ -958,7 +968,7 @@ class ConnectionPool:
             client: RpcClient | None = None
             started = time.perf_counter()
             try:
-                client = self._connection(addr)
+                client = self._connection(addr, timeout)
                 future = client.call_async(method, args, blob=blob, blob_arg=blob_arg)
                 value = future.result(
                     timeout if timeout is not None else self.net.call_timeout
@@ -1022,7 +1032,7 @@ class ConnectionPool:
         ]
         futures: list[Future | None] = []
         try:
-            client = self._connection(addr)
+            client = self._connection(addr, timeout)
             for method, args, blob, blob_arg in unpacked:
                 self._count("rpc.calls", 1)
                 futures.append(client.call_async(method, args, blob=blob,
@@ -1050,37 +1060,6 @@ class ConnectionPool:
                                   blob=blob, blob_arg=blob_arg)
             results.append(value)
         return results
-
-    def broadcast(
-        self,
-        addrs: Sequence[tuple[str, int]],
-        method: str,
-        args: dict[str, Any] | None = None,
-        timeout: float | None = None,
-        policy: RetryPolicy | None = None,
-    ) -> list[Any]:
-        """Issue the same call to many peers concurrently; results align
-        with ``addrs``.  The first error (of any kind) propagates after
-        every call has resolved."""
-        if not addrs:
-            return []
-        with ThreadPoolExecutor(max_workers=len(addrs),
-                                thread_name_prefix="rpc-broadcast") as pool:
-            futures = [
-                pool.submit(self.call, addr, method, args, timeout, policy)
-                for addr in addrs
-            ]
-            results, first_error = [], None
-            for future in futures:
-                try:
-                    results.append(future.result())
-                except Exception as exc:
-                    if first_error is None:
-                        first_error = exc
-                    results.append(None)
-            if first_error is not None:
-                raise first_error
-            return results
 
     # -- teardown --------------------------------------------------------------------
 
@@ -1114,3 +1093,31 @@ class ConnectionPool:
     def _count(self, name: str, amount: float) -> None:
         if self._metrics is not None:
             self._metrics.counter(name).inc(amount)
+
+
+def fan_out(fn: Callable[[Any], Any], items: Sequence, max_workers: int = 16) -> list:
+    """Run ``fn`` over ``items`` concurrently; results keep item order.
+
+    The calls run on a throw-away thread pool (one item runs inline).
+    Every call is drained before the first raised error propagates, so
+    no thread is abandoned mid-RPC.
+    """
+    items = list(items)
+    if not items:
+        return []
+    if len(items) == 1:
+        return [fn(items[0])]
+    results: list = []
+    first_error: Exception | None = None
+    with ThreadPoolExecutor(max_workers=min(max_workers, len(items)),
+                            thread_name_prefix="fan-out") as pool:
+        for future in [pool.submit(fn, item) for item in items]:
+            try:
+                results.append(future.result())
+            except Exception as exc:
+                if first_error is None:
+                    first_error = exc
+                results.append(None)
+    if first_error is not None:
+        raise first_error
+    return results

@@ -27,6 +27,7 @@ from repro.cluster.messages import WorkerAddress
 from repro.common.config import ClusterConfig, DFSConfig, NetConfig
 from repro.common.errors import ClusterError, RpcConnectionError, RpcRemoteError
 from repro.net.retry import RetryPolicy
+from repro.net.rpc import RpcServer
 from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.runtime import EclipseMRRuntime
 
@@ -115,6 +116,40 @@ class TestTeardown:
             rt.coordinator.shutdown = lambda: answered.extend(tell_all())
             rt.shutdown()
             assert sorted(answered) == ["worker-0", "worker-1", "worker-2"]
+
+    def test_every_worker_exits_cleanly_over_many_lifecycles(
+            self, capfd, monkeypatch):
+        """A worker's ``register`` call gets its reply before the cluster
+        counts the worker as up, so a shutdown right after start-up never
+        closes the connection under that reply (the worker would raise
+        ``RpcConnectionError`` and exit 1).  The coordinator holds each
+        ``register`` reply back by 50 ms, which makes the race certain
+        whenever the registration is announced before its reply."""
+        handle = RpcServer._handle
+
+        def slow_register_reply(server, request):
+            out = handle(server, request)
+            if request.get("method") == "register":
+                time.sleep(0.05)
+            return out
+
+        monkeypatch.setattr(RpcServer, "_handle", slow_register_reply)
+        for _ in range(12):
+            rt = ClusterRuntime(2, CFG)
+            processes = list(rt._processes.values())
+            rt.shutdown()
+            assert [p.exitcode for p in processes] == [0, 0]
+        assert capfd.readouterr().err == ""
+
+    def test_shutdown_does_not_wait_out_a_partitioned_workers_connect(
+            self, unanswered_address):
+        """``shutdown`` tells each worker with a 2 s timeout; dialling a
+        worker that never answers must not take ``connect_timeout``."""
+        coord = Coordinator(["w1"], CFG)
+        coord.addresses["w1"] = WorkerAddress("w1", *unanswered_address)
+        start = time.monotonic()
+        assert coord.shutdown() == []
+        assert time.monotonic() - start < coord.config.net.connect_timeout
 
     def test_output_of_the_last_job_survives_the_exit(self, capfd, monkeypatch):
         """A worker leaves through ``os._exit``; what a map function

@@ -15,11 +15,15 @@ processes:
 * ``ClusterBusyError`` on a concurrent second blocking ``run()`` and on
   a second ``JobScheduler`` attached to a live cluster;
 * the inter-job policy seam (FIFO / fair share / delay), unit-tested on
-  synthetic job views.
+  synthetic job views;
+* retention -- a finished job leaves nothing behind in the scheduler:
+  no timer, no metric name, no reference to its handle or result.
 """
 
+import gc
 import threading
 import time
+import weakref
 from types import SimpleNamespace
 
 import pytest
@@ -28,13 +32,14 @@ from repro.apps.grep import grep_job
 from repro.apps.wordcount import wordcount_job, wordcount_reduce
 from repro.apps.workloads import pack_records, text_corpus
 from repro.cluster import ClusterRuntime
-from repro.common.config import ClusterConfig, DFSConfig, JobsConfig
+from repro.common.config import ClusterConfig, DFSConfig, JobsConfig, NetConfig
 from repro.common.errors import (
     ClusterBusyError,
     ClusterError,
     ConfigError,
     JobCancelled,
     JobRejected,
+    RpcConnectionError,
 )
 from repro.jobs import (
     ClusterSession,
@@ -376,3 +381,106 @@ class TestPolicySeam:
             ])
             for h in handles:
                 assert h.result(timeout=120).output == ref
+
+
+def scheduler_idle(sched) -> bool:
+    return not (sched._active or sched._queued or sched._inflight_total)
+
+
+class TestFinishedJobRetention:
+    """A finished job's state dies with the client's last reference to it.
+
+    Runs with the cyclic collector off, so a reference cycle counts as a
+    leak: a long-lived driver must not need a generation-2 collection to
+    let go of a job's output."""
+
+    def test_fifty_jobs_leave_nothing_behind(self):
+        seq = EclipseMRRuntime(2, config=CFG)
+        seq.upload("keep.txt", corpus(21))
+        ref = seq.run(wordcount_job("keep.txt", app_id="keep")).output
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            with ClusterRuntime(2, CFG) as rt:
+                rt.upload("keep.txt", corpus(21))
+                sched = rt.jobs
+                # Heartbeats mint their metric names on a clock, not per
+                # job; let the first one land before names are compared.
+                wait_for(lambda: "heartbeat.received" in rt.metrics.counters,
+                         what="first heartbeat")
+
+                def run_one(k: int) -> list:
+                    """Run job ``k`` to the end; keep only weak references."""
+                    if k == 1:  # cancelled while its maps are in flight
+                        h = rt.submit(slow_job("keep.txt", f"keep-{k}", delay=0.1))
+                        wait_for(lambda: h.state is JobState.RUNNING,
+                                 what="job to start")
+                        assert h.cancel() is True
+                        assert isinstance(h.exception(timeout=60), JobCancelled)
+                        return [weakref.ref(h)]
+                    if k == 2:  # its mapper raises
+                        h = rt.submit(MapReduceJob(
+                            app_id=f"keep-{k}", input_file="keep.txt",
+                            map_fn=boom_map, reduce_fn=wordcount_reduce,
+                        ))
+                        assert isinstance(h.exception(timeout=60), ClusterError)
+                        return [weakref.ref(h)]
+                    h = rt.submit(wordcount_job("keep.txt", app_id=f"keep-{k}"))
+                    res = h.result(timeout=60)
+                    assert res.output == ref
+                    return [weakref.ref(h), weakref.ref(res)]
+
+                previous = None
+                names_after_5 = None
+                for k in range(50):
+                    refs = run_one(k)
+                    wait_for(lambda: scheduler_idle(sched), what="idle scheduler")
+                    if previous is not None:
+                        assert [r() for r in previous] == [None] * len(previous), (
+                            f"job {k - 1} is still referenced after job {k}"
+                        )
+                    assert len(sched._timers) == 0
+                    if k == 5:
+                        names_after_5 = set(rt.metrics.snapshot())
+                    previous = refs
+                assert set(rt.metrics.snapshot()) == names_after_5
+        finally:
+            if gc_was_enabled:
+                gc.enable()
+
+    def test_a_pending_connection_retry_survives_another_jobs_finish(self):
+        """A dispatch that failed to connect waits on a "retry" timer;
+        another job finishing meanwhile must not drop that timer."""
+        cfg = ClusterConfig(
+            dfs=DFSConfig(block_size=2048),
+            net=NetConfig(retry_base_delay=0.5, retry_max_delay=0.5),
+        )
+        seq = EclipseMRRuntime(2, config=cfg)
+        seq.upload("retry.txt", corpus(23))
+        ref = seq.run(wordcount_job("retry.txt", app_id="retry")).output
+        with ClusterRuntime(2, cfg) as rt:
+            rt.upload("retry.txt", corpus(23))
+            sched = rt.jobs
+            pool = rt.coordinator.pool
+            call_async = pool.call_async
+            retried_at: list[float] = []
+
+            def flaky_call_async(addr, method, args=None, **kw):
+                if (method == "run_map" and args["job"]["app_id"] == "retried"
+                        and args["index"] == 0):
+                    if not retried_at:
+                        retried_at.append(0.0)
+                        raise RpcConnectionError("injected: connection refused")
+                    retried_at[0] = time.monotonic()
+                return call_async(addr, method, args, **kw)
+
+            pool.call_async = flaky_call_async
+            retried = rt.submit(wordcount_job("retry.txt", app_id="retried"))
+            quick = rt.submit(wordcount_job("retry.txt", app_id="quick"))
+            assert quick.result(timeout=60).output == ref
+            assert retried.result(timeout=60).output == ref
+            # The other job was done and reaped before the retry fired.
+            assert quick.finished_at < retried_at[0]
+            assert rt.metrics.counter("rpc.retries").value == 1
+            wait_for(lambda: scheduler_idle(sched), what="idle scheduler")
+            assert len(sched._timers) == 0

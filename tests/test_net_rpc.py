@@ -261,6 +261,17 @@ class TestRetryDeadline:
 
 
 class TestConnectionPool:
+    def test_a_dial_waits_no_longer_than_the_call_timeout(self, unanswered_address):
+        pool = ConnectionPool(NetConfig(connect_timeout=5.0),
+                              policy=RetryPolicy(attempts=1))
+        start = time.monotonic()
+        try:
+            with pytest.raises(RpcConnectionError):
+                pool.call(unanswered_address, "echo", {"value": 1}, timeout=0.5)
+        finally:
+            pool.close_all()
+        assert time.monotonic() - start < 1.0
+
     def test_reuses_idle_connections(self, server):
         metrics = MetricsRegistry()
         pool = ConnectionPool(metrics=metrics)

@@ -22,7 +22,7 @@ from repro.common.errors import (
     NetworkError,
     RpcConnectionError,
 )
-from repro.net.rpc import Blob, ConnectionPool, RpcClient, RpcServer
+from repro.net.rpc import Blob, ConnectionPool, RpcClient, RpcServer, fan_out
 from repro.sim.metrics import MetricsRegistry
 
 
@@ -242,7 +242,7 @@ class TestPoolFanOut:
         finally:
             pool.close_all()
 
-    def test_broadcast_reaches_every_peer(self):
+    def test_fan_out_reaches_every_peer(self):
         net = NetConfig()
         servers = [
             RpcServer({"echo": lambda value, t=tag: (t, value)}, net=net).start()
@@ -250,24 +250,35 @@ class TestPoolFanOut:
         ]
         pool = ConnectionPool(net)
         try:
-            results = pool.broadcast([s.address for s in servers],
-                                     "echo", {"value": 7})
-            assert sorted(results) == [(t, 7) for t in range(4)]
+            results = fan_out(lambda addr: pool.call(addr, "echo", {"value": 7}),
+                              [s.address for s in servers])
+            assert results == [(t, 7) for t in range(4)]
         finally:
             pool.close_all()
             for srv in servers:
                 srv.stop()
 
-    def test_broadcast_surfaces_dead_peer_after_draining(self):
+    def test_fan_out_drains_every_peer_then_raises(self):
         net = NetConfig(retry_attempts=1)
-        alive = RpcServer({"echo": lambda value: value}, net=net).start()
-        dead = RpcServer({"echo": lambda value: value}, net=net).start()
+        answered = []
+
+        def slow_echo(value):
+            time.sleep(0.1)
+            answered.append(value)
+            return value
+
+        alive = RpcServer({"echo": slow_echo}, net=net).start()
+        dead = RpcServer({"echo": slow_echo}, net=net).start()
         dead_addr = dead.address
         dead.stop()
         pool = ConnectionPool(net)
         try:
             with pytest.raises(NetworkError):
-                pool.broadcast([alive.address, dead_addr], "echo", {"value": 1})
+                fan_out(lambda addr: pool.call(addr, "echo", {"value": 1}),
+                        [dead_addr, alive.address])
+            # The dead peer failed at once; the slow live one still
+            # finished before the error surfaced.
+            assert answered == [1]
         finally:
             pool.close_all()
             alive.stop()
